@@ -18,11 +18,11 @@
 //
 // Usage:
 //   paco_bench --workload NAME --seed N --seconds S --trace 0|1
-//              [--threads T] [--spans FILE]
+//              [--spans FILE]
 //
-// T (default: min(4, hardware threads)) is the number of concurrent
-// workers of analyze and execute, and the DispatchService thread
-// count of serve; the parametric solver always runs single-threaded. The
+// min(4, hardware threads) workers run analyze and execute concurrently,
+// and serve's DispatchService uses as many threads; the parametric solver
+// always runs single-threaded. The
 // last line of standard output is one JSON object {"correct", "attempted",
 // "failed", "metrics"}. With --trace 0 the metrics are the end-to-end ones;
 // with --trace 1 the run records spans (name, start, end, parent, request
@@ -36,13 +36,13 @@
 #include "obs/Stats.h"
 #include "partition/Reprice.h"
 #include "programs/Programs.h"
+#include "support/ThreadPool.h"
 #include "transform/Transform.h"
 
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -50,7 +50,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -93,14 +92,22 @@ double peakRssMB() {
   return static_cast<double>(Usage.ru_maxrss) / 1024.0; // ru_maxrss is KiB
 }
 
-/// A fixed set of threads that lives for the whole run. Each worker keeps
-/// its own allocator arena from phase to phase, and items are assigned to
-/// workers statically, so peak RSS does not depend on which thread happened
-/// to pick up which item.
+/// The number of concurrent workers of analyze and execute, and the
+/// DispatchService thread count of serve: fixed, and never more than the
+/// machine has.
+const unsigned NumThreads = std::min(4u, ThreadPool::hardwareThreads());
+
+/// NumThreads threads that live for the whole run; the main thread only
+/// waits. Worker W always runs on the same thread and keeps its allocator
+/// arena from phase to phase, and items go to workers statically, so peak
+/// RSS does not depend on which thread picked up which item. With
+/// support/ThreadPool instead, whose caller joins in and whose threads
+/// claim items in any order, serve's peak RSS read 69.8-85.4 MB over five
+/// seeds, against 67.0-67.6 MB with this group (3-s runs, 4-core Xeon).
 class WorkerGroup {
 public:
-  explicit WorkerGroup(unsigned N) {
-    for (unsigned W = 0; W != N; ++W)
+  WorkerGroup() {
+    for (unsigned W = 0; W != NumThreads; ++W)
       Threads.emplace_back([this, W] { loop(W); });
   }
   WorkerGroup(const WorkerGroup &) = delete;
@@ -114,22 +121,17 @@ public:
     for (std::thread &T : Threads)
       T.join();
   }
-  unsigned size() const { return static_cast<unsigned>(Threads.size()); }
 
-  /// Runs Body(W) on workers 0 .. N-1 (N <= size()) and waits for them. An
-  /// exception from Body is rethrown here.
+  /// Runs Body(W) on workers 0 .. N-1 (N <= NumThreads) and waits for them.
   void run(unsigned N, const std::function<void(unsigned)> &Body) {
     std::unique_lock<std::mutex> Lock(M);
     Job = &Body;
-    Active = std::min(N, size());
-    Pending = size();
-    Error = nullptr;
+    Active = N;
+    Pending = NumThreads;
     ++Generation;
     Wake.notify_all();
     Done.wait(Lock, [this] { return Pending == 0; });
     Job = nullptr;
-    if (Error)
-      std::rethrow_exception(Error);
   }
 
 private:
@@ -143,16 +145,9 @@ private:
       Seen = Generation;
       const std::function<void(unsigned)> *Body = W < Active ? Job : nullptr;
       Lock.unlock();
-      std::exception_ptr Thrown;
-      try {
-        if (Body)
-          (*Body)(W);
-      } catch (...) {
-        Thrown = std::current_exception();
-      }
+      if (Body)
+        (*Body)(W);
       Lock.lock();
-      if (Thrown && !Error)
-        Error = Thrown;
       if (--Pending == 0)
         Done.notify_all();
     }
@@ -164,17 +159,16 @@ private:
   unsigned Active = 0, Pending = 0;
   uint64_t Generation = 0;
   bool Stop = false;
-  std::exception_ptr Error;
   /// Last: the threads use every member above.
   std::vector<std::thread> Threads;
 };
 
 /// Runs Body(W, I) for every I in [0, N); worker W takes the items with
-/// I % Workers == W.
+/// I % NumThreads == W.
 void parallelItems(WorkerGroup &Workers, size_t N,
                    const std::function<void(unsigned, size_t)> &Body) {
-  Workers.run(Workers.size(), [&](unsigned W) {
-    for (size_t I = W; I < N; I += Workers.size())
+  Workers.run(NumThreads, [&](unsigned W) {
+    for (size_t I = W; I < N; I += NumThreads)
       Body(W, I);
   });
 }
@@ -489,7 +483,6 @@ struct Options {
   uint64_t Seed = 1;
   double Seconds = 10;
   bool Trace = false;
-  unsigned Threads = 1;
   std::string SpansPath;
 };
 
@@ -672,9 +665,10 @@ double repeatedSetup(SpanLog &Log, const std::function<void()> &Setup) {
 /// Fastest observed wall time of each operation of a round. On a shared
 /// host the same compile, interpreter or dispatch work can run up to 1.7x
 /// slower for seconds to minutes at a time, on each core on its own. So
-/// the end-to-end time is the sum of per-operation minima over all workers
-/// and rounds (the best-case round), which the run's quiet moments pin
-/// down, rather than a mean or a median, which drift with the neighbours.
+/// analyze and execute report the sum of per-operation minima over all
+/// workers and rounds (the best-case round), which the run's quiet moments
+/// pin down, rather than a mean or a median, which drift with the
+/// neighbours.
 class BestTimes {
 public:
   void add(const std::string &Op, double Seconds) {
@@ -852,12 +846,12 @@ int runAnalyze(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
   // traced staged chain (even rounds) with the untraced real one (odd
   // rounds), so its tracing overhead is measured on the same workers.
   // Every result must reproduce the reference compile.
-  std::vector<std::vector<StageTimes>> Staged(O.Threads);
-  std::vector<std::vector<double>> Untraced(O.Threads);
-  std::vector<BestTimes> Best(O.Threads);
+  std::vector<std::vector<StageTimes>> Staged(NumThreads);
+  std::vector<std::vector<double>> Untraced(NumThreads);
+  std::vector<BestTimes> Best(NumThreads);
   Clock::time_point RoundEpoch = Clock::now();
   timedRounds(
-      Spans, Workers, O.Threads, O.Seconds,
+      Spans, Workers, NumThreads, O.Seconds,
       [&](unsigned W, uint64_t Round, const Expiry &Expired) {
         bool UseStaged = O.Trace && Round % 2 == 0;
         SpanLog Off(false, RoundEpoch);
@@ -902,7 +896,7 @@ int runAnalyze(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
   // the programs; unattributed = round wall time minus the stage spans.
   std::vector<double> Rounds, UntracedRounds, Unattributed;
   std::map<std::string, std::vector<double>> PerStage;
-  for (unsigned W = 0; W != O.Threads; ++W) {
+  for (unsigned W = 0; W != NumThreads; ++W) {
     UntracedRounds.insert(UntracedRounds.end(), Untraced[W].begin(),
                           Untraced[W].end());
     for (StageTimes &S : Staged[W]) {
@@ -1198,32 +1192,48 @@ int runExecute(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
   if (R.failed())
     return 1;
 
-  // Timed phase: every worker runs the whole set per round, starting at a
-  // different run. Index 0 of each pair is Placement::Dispatch, 1 the
-  // closed loop.
+  // Index 0 of each pair is Placement::Dispatch, 1 the closed loop.
   using RoundTotals = std::array<RunTotals, 2>;
-  std::vector<std::vector<RoundTotals>> PerRound(O.Threads);
-  std::vector<BestTimes> Best(O.Threads);
-  obs::StatsSnapshot Before = snapshot();
-  timedRounds(Spans, Workers, O.Threads, O.Seconds,
+  auto CheckClosedLoop = [&](const RoundTotals &T) {
+    const RunTotals &L = T[1];
+    R.check(L.Redispatches && L.Retries && L.CrashRecoveries &&
+                L.LedgerRestores && L.Probes,
+            "the run set left part of the closed-loop path idle");
+  };
+
+  // The traced run first runs the set once on this thread, with no other
+  // work in flight. Its counts and registry deltas come from that pass, so
+  // they cover exactly one round.
+  RoundTotals Counted;
+  CounterTotals Delta;
+  if (O.Trace) {
+    BestTimes Ignored;
+    obs::StatsSnapshot Before = snapshot();
+    for (size_t I = 0; I != Runs.size(); ++I)
+      executeOne(Runs[I], I, Spans.main(), Ignored,
+                 Counted[Runs[I].closedLoop()], R);
+    Delta.add(Before, snapshot());
+    CheckClosedLoop(Counted);
+  }
+
+  // Timed phase: every worker runs the whole set per round, starting at a
+  // different run.
+  std::vector<std::vector<RoundTotals>> PerRound(NumThreads);
+  std::vector<BestTimes> Best(NumThreads);
+  timedRounds(Spans, Workers, NumThreads, O.Seconds,
               [&](unsigned W, uint64_t, const Expiry &Expired) {
     RoundTotals T;
     for (size_t K = 0; K != Runs.size(); ++K) {
       if (Expired())
         return false;
-      size_t I = (K + W * Runs.size() / O.Threads) % Runs.size();
+      size_t I = (K + W * Runs.size() / NumThreads) % Runs.size();
       executeOne(Runs[I], I, Spans.worker(W), Best[W],
                  T[Runs[I].closedLoop()], R);
     }
-    const RunTotals &L = T[1];
-    R.check(L.Redispatches && L.Retries && L.CrashRecoveries &&
-                L.LedgerRestores && L.Probes,
-            "the run set left part of the closed-loop path idle");
+    CheckClosedLoop(T);
     PerRound[W].push_back(T);
     return true;
   });
-  CounterTotals Delta;
-  Delta.add(Before, snapshot());
 
   if (!O.Trace) {
     BestTimes All;
@@ -1232,8 +1242,8 @@ int runExecute(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
     reportEndToEnd(R, SetupS, All.sumMs());
     return 0;
   }
-  // Counts are per round and deterministic; times are medians over every
-  // worker's rounds.
+  // Counts are those of the single-threaded round; times are medians over
+  // every worker's rounds.
   std::vector<double> Interp, Rate, Loop, Render;
   for (const std::vector<RoundTotals> &Rounds : PerRound)
     for (const RoundTotals &X : Rounds) {
@@ -1242,9 +1252,8 @@ int runExecute(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
       Loop.push_back(X[1].InterpS);
       Render.push_back(X[1].RenderS);
     }
-  double NumRounds = static_cast<double>(Interp.size());
-  const RunTotals &D = PerRound.front().front()[0];
-  const RunTotals &L = PerRound.front().front()[1];
+  const RunTotals &D = Counted[0];
+  const RunTotals &L = Counted[1];
   R.add("interp_s", median(Interp));
   R.add("exec_minstr_per_s", median(Rate));
   R.add("sim_speedup", std::exp(D.LogSpeedup / static_cast<double>(D.Runs)));
@@ -1265,10 +1274,8 @@ int runExecute(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
   R.add("adapt.ledger_syncs", static_cast<double>(L.LedgerSyncs));
   for (const char *Name :
        {"sim.migrations", "sim.transfers", "sim.crashes", "sim.restarts",
-        "sim.fallbacks", "recovery.crash_rollbacks", "recovery.reoffloads"}) {
-    std::optional<double> D = Delta.get(Name);
-    R.add(Name, D ? std::optional(*D / NumRounds) : std::nullopt);
-  }
+        "sim.fallbacks", "recovery.crash_rollbacks", "recovery.reoffloads"})
+    R.add(Name, Delta.get(Name));
   return 0;
 }
 
@@ -1285,10 +1292,6 @@ constexpr size_t VerifyStride = 32;
 /// Distinct facet-snapped points per pool (snapping is exact arithmetic,
 /// too slow per request); the pool repeats them.
 constexpr size_t FacetPoints = 1024;
-/// DispatchService samples one ns-per-query value per stripe of this many
-/// queries (see dispatch/DispatchService.cpp), so a shard's busy time is
-/// its histogram sum times the stripe length.
-constexpr double ServiceStripe = 64;
 
 /// Moves \p Vals onto the zero set of \p Facet by solving for one runtime
 /// parameter that no monomial dimension depends on (exact arithmetic;
@@ -1411,7 +1414,7 @@ int runServe(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
         return;
     for (const Compiled &C : Programs)
       Services.push_back(
-          std::make_unique<DispatchService>(*C.Index, O.Threads));
+          std::make_unique<DispatchService>(*C.Index, NumThreads));
     size_t NumStreams = Programs.size() * std::size(ServeStreams);
     Streams.resize(NumStreams);
     parallelItems(Workers, NumStreams, [&](unsigned, size_t I) {
@@ -1434,7 +1437,7 @@ int runServe(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
     TotalsBefore.push_back(S->totals());
   std::vector<size_t> Offset(Streams.size(), 0);
   std::vector<unsigned> Choices(BatchSize);
-  BestTimes Best;
+  std::vector<std::vector<double>> StreamMs(Streams.size());
   Clock::time_point Start = Clock::now();
   std::vector<double> Ms = timedRounds(Spans, Workers, 1, O.Seconds,
                                        [&](unsigned, uint64_t N,
@@ -1450,7 +1453,7 @@ int runServe(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
                                          BatchSize, NumParams,
                                          Choices.data());
     });
-    Best.add(S.Name, Stage["dispatch_batch"]);
+    StreamMs[SI].push_back(Stage["dispatch_batch"] * 1e3);
     for (size_t I = 0; I < BatchSize; I += VerifyStride)
       R.check(Choices[I] == S.Expected[(First + I) / VerifyStride],
               S.Name + ": dispatch disagrees with pickChoice");
@@ -1460,7 +1463,14 @@ int runServe(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
   obs::StatsSnapshot After = snapshot();
 
   if (!O.Trace) {
-    reportEndToEnd(R, SetupS, Best.sumMs());
+    // Unlike analyze and execute, which time single-threaded operations,
+    // a batch needs every service thread at once: it is at its best only
+    // while every core is quiet, and how often that happens varies from run
+    // to run. So serve sums each stream's median batch, not its best.
+    double RoundMs = 0;
+    for (const std::vector<double> &V : StreamMs)
+      RoundMs += median(V);
+    reportEndToEnd(R, SetupS, RoundMs);
     return 0;
   }
   double Batches = static_cast<double>(Ms.size());
@@ -1506,23 +1516,33 @@ int runServe(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
 
   // Pool idle share from the per-shard latency histograms every service
   // registered (shard indices are shared, so the sums cover all three).
+  // Each sample is one stripe's ns per query; a shard's busy time is its
+  // mean sample times the queries it served, the batch split the way
+  // dispatchBatch splits it.
   double BusyNs = 0;
   bool HaveShards = false;
-  for (unsigned S = 0; S != O.Threads; ++S) {
+  size_t ShardChunk = (BatchSize + NumThreads - 1) / NumThreads;
+  for (unsigned S = 0; S != NumThreads; ++S) {
     std::string Name = "dispatch.shard" + std::to_string(S) + ".latency_ns";
     auto A = After.Histograms.find(Name);
     auto B = Before.Histograms.find(Name);
     if (A == After.Histograms.end() || B == Before.Histograms.end())
       continue;
+    double Samples =
+        static_cast<double>(A->second.count() - B->second.count());
+    size_t Lo = std::min(BatchSize, S * ShardChunk);
+    size_t Hi = std::min(BatchSize, Lo + ShardChunk);
+    double ShardQueries = Batches * static_cast<double>(Hi - Lo);
     HaveShards = true;
-    BusyNs +=
-        static_cast<double>(A->second.Sum - B->second.Sum) * ServiceStripe;
+    if (Samples > 0)
+      BusyNs += static_cast<double>(A->second.Sum - B->second.Sum) / Samples *
+                ShardQueries;
   }
   double BatchWallNs = 0;
   for (double M : Ms)
     BatchWallNs += M * 1e6;
   R.add("support.pool_idle_share",
-        HaveShards ? std::optional(1.0 - BusyNs / (O.Threads * BatchWallNs))
+        HaveShards ? std::optional(1.0 - BusyNs / (NumThreads * BatchWallNs))
                    : std::nullopt);
   return 0;
 }
@@ -1534,7 +1554,7 @@ int runServe(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s --workload analyze|execute|serve --seed N "
-               "--seconds S --trace 0|1 [--threads T] [--spans FILE]\n",
+               "--seconds S --trace 0|1 [--spans FILE]\n",
                Argv0);
   return 2;
 }
@@ -1543,8 +1563,6 @@ int usage(const char *Argv0) {
 
 int main(int argc, char **argv) {
   Options O;
-  unsigned HW = std::max(1u, std::thread::hardware_concurrency());
-  O.Threads = std::min(4u, HW);
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (I + 1 == argc)
@@ -1558,8 +1576,6 @@ int main(int argc, char **argv) {
       O.Seconds = std::atof(Val);
     else if (Arg == "--trace")
       O.Trace = std::strcmp(Val, "0") != 0;
-    else if (Arg == "--threads")
-      O.Threads = std::clamp<unsigned>(std::atoi(Val), 1, HW);
     else if (Arg == "--spans")
       O.SpansPath = Val;
     else
@@ -1569,9 +1585,9 @@ int main(int argc, char **argv) {
   std::printf("workload %s seed %llu seconds %g trace %d threads %u "
               "solver threads %u\n",
               O.Workload.c_str(), static_cast<unsigned long long>(O.Seed),
-              O.Seconds, O.Trace ? 1 : 0, O.Threads, SolverThreads);
-  SpanSet Spans(O.Trace, O.Threads);
-  WorkerGroup Workers(O.Threads);
+              O.Seconds, O.Trace ? 1 : 0, NumThreads, SolverThreads);
+  SpanSet Spans(O.Trace, NumThreads);
+  WorkerGroup Workers;
   Report R(O.Trace);
   int Status;
   if (O.Workload == "analyze")
@@ -1583,7 +1599,7 @@ int main(int argc, char **argv) {
   else
     return usage(argv[0]);
   if (O.Trace) {
-    R.add("threads", O.Threads);
+    R.add("threads", NumThreads);
     R.add("solver_threads", SolverThreads);
   }
   if (O.Trace && !O.SpansPath.empty() && !Spans.write(O.SpansPath)) {

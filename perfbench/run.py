@@ -26,9 +26,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HERE = os.path.join(ROOT, "perfbench")
 WORKLOADS = ("analyze", "execute", "serve")
-# Build parallelism and paco_bench's fixed thread count: never more than
-# the machine has.
-THREADS = max(1, min(4, os.cpu_count() or 1))
+# Build parallelism: never more than the machine has.
+BUILD_JOBS = max(1, min(4, os.cpu_count() or 1))
 
 
 def fail(message):
@@ -52,7 +51,7 @@ def build(build_dir):
         run_quiet(["cmake", "-S", HERE, "-B", build_dir,
                    "-DCMAKE_BUILD_TYPE=Release"])
     run_quiet(["cmake", "--build", build_dir, "--target", "paco_bench",
-               "-j", str(THREADS)])
+               "-j", str(BUILD_JOBS)])
     return os.path.join(build_dir, "paco_bench")
 
 
@@ -88,8 +87,7 @@ def main():
         ROOT, os.environ.get("CARGO_TARGET_DIR") or ".bench_build")
     binary = build(build_dir)
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
-           "--threads", str(THREADS)]
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
     if args.trace:
         cmd += ["--spans", os.path.join(
             build_dir, "spans-%s-%d.jsonl" % (args.workload, args.seed))]
