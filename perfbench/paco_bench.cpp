@@ -43,6 +43,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -353,6 +354,7 @@ const MetricSpec PerLayerMetrics[] = {
     {"poly.dd_halfspaces", "count"},
     {"poly.generator_cache_hits", "count"},
     {"transform.rendered_bytes", "bytes"},
+    {"transform.reordered_render_share", "ratio"},
     {"dispatch.index_nodes", "count"},
     // execute: per round of the run set; interp_s through
     // runtime.transfer_share cover the Placement::Dispatch runs, the rest
@@ -795,9 +797,89 @@ void checkAnalysis(const Compiled &C, unsigned Expected, size_t NumPoints,
   }
 }
 
+/// One side of a parenthesised constraint with its " + "-separated terms
+/// sorted.
+std::string sortedTerms(const std::string &Side) {
+  std::vector<std::string> Terms;
+  for (size_t Pos = 0;;) {
+    size_t Next = Side.find(" + ", Pos);
+    Terms.push_back(Side.substr(Pos, Next - Pos));
+    if (Next == std::string::npos)
+      break;
+    Pos = Next + 3;
+  }
+  std::sort(Terms.begin(), Terms.end());
+  std::string Out;
+  for (const std::string &T : Terms)
+    Out += (Out.empty() ? "" : " + ") + T;
+  return Out;
+}
+
+/// A constraint "(lhs OP rhs)" with the terms of both sides sorted.
+std::string canonicalConstraint(const std::string &Atom) {
+  std::string Body = Atom.substr(1, Atom.size() - 2);
+  for (const char *Op : {" <= ", " == ", " >= ", " < ", " > "}) {
+    size_t At = Body.find(Op);
+    if (At == std::string::npos)
+      continue;
+    size_t Len = std::strlen(Op);
+    return "(" + sortedTerms(Body.substr(0, At)) + Op +
+           sortedTerms(Body.substr(At + Len)) + ")";
+  }
+  return Atom;
+}
+
+/// \p Text with the order of the terms of every sum and of the conjuncts
+/// of every guard made canonical (sorted); every other byte is kept.
+/// renderTransformedProgram prints both orders as ParamSpace interned the
+/// monomials, and that order follows heap addresses (AST-pointer-keyed
+/// maps): compiling fft 40 times in one thread, with different
+/// allocations in between, gave 21 renders that differ from the first.
+std::string canonicalRender(const std::string &Text) {
+  // A conjunct is "(...)" with no parenthesis or line break inside.
+  auto AtomEnd = [&](size_t Open) -> size_t {
+    if (Text[Open] != '(')
+      return std::string::npos;
+    size_t Close = Text.find_first_of("()\n", Open + 1);
+    return Close != std::string::npos && Text[Close] == ')'
+               ? Close + 1
+               : std::string::npos;
+  };
+  std::string Out;
+  for (size_t Pos = 0; Pos < Text.size();) {
+    size_t End = AtomEnd(Pos);
+    if (End == std::string::npos) {
+      Out += Text[Pos++];
+      continue;
+    }
+    // A run of conjuncts joined by " && ".
+    std::vector<std::string> Run;
+    for (;;) {
+      Run.push_back(canonicalConstraint(Text.substr(Pos, End - Pos)));
+      Pos = End;
+      if (Text.compare(Pos, 4, " && ") != 0)
+        break;
+      size_t NextEnd = AtomEnd(Pos + 4);
+      if (NextEnd == std::string::npos)
+        break;
+      Pos += 4;
+      End = NextEnd;
+    }
+    std::sort(Run.begin(), Run.end());
+    for (size_t I = 0; I != Run.size(); ++I)
+      Out += (I ? " && " : "") + Run[I];
+  }
+  return Out;
+}
+
+/// Compiles compared with the reference, and those whose rendered program
+/// matched it only up to term and conjunct order.
+std::atomic<uint64_t> RendersCompared{0}, RendersReordered{0};
+
 /// Checks \p C against the reference compile of the same program: the same
-/// choices (count and task placements) and a byte-identical rendered
-/// program.
+/// choices (count and task placements) and the same rendered program, byte
+/// for byte once canonicalRender has fixed the order of terms and
+/// conjuncts. Renders that differ only in that order are counted.
 void checkSameProgram(const Compiled &C, const Compiled &Ref, Report &R) {
   bool Same = C.CP && C.Index &&
               C.CP->Partition.Choices.size() ==
@@ -806,7 +888,12 @@ void checkSameProgram(const Compiled &C, const Compiled &Ref, Report &R) {
     Same = C.CP->Partition.Choices[I].TaskOnServer ==
            Ref.CP->Partition.Choices[I].TaskOnServer;
   R.check(Same, C.Name + ": choices differ from the reference compile");
-  R.check(C.Rendered == Ref.Rendered,
+  ++RendersCompared;
+  bool Identical = C.Rendered == Ref.Rendered;
+  if (!Identical)
+    ++RendersReordered;
+  R.check(Identical ||
+              canonicalRender(C.Rendered) == canonicalRender(Ref.Rendered),
           C.Name + ": rendered program differs from the reference compile");
 }
 
@@ -884,6 +971,10 @@ int runAnalyze(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
     checkAnalysis(Reference[I], AnalyzePrograms[I].DistinctPartitionings,
                   256, 12, O.Seed * NumAnalyzePrograms + I, R);
   });
+  std::printf("renders matching the reference only up to term and conjunct "
+              "order: %llu of %llu\n",
+              static_cast<unsigned long long>(RendersReordered.load()),
+              static_cast<unsigned long long>(RendersCompared.load()));
 
   if (!O.Trace) {
     BestTimes All;
@@ -939,6 +1030,9 @@ int runAnalyze(const Options &O, SpanSet &Spans, WorkerGroup &Workers,
   R.add("partition.cut_signature_hit_rate",
         ratio(Counts.get("partition.cut_signature_hits"), Solves));
   R.add("transform.rendered_bytes", static_cast<double>(Bytes));
+  R.add("transform.reordered_render_share",
+        static_cast<double>(RendersReordered.load()) /
+            static_cast<double>(std::max<uint64_t>(1, RendersCompared.load())));
   R.add("dispatch.index_nodes", Nodes);
   return 0;
 }
