@@ -233,8 +233,12 @@ SymbolicInfo SymbolicAnalyzer::run() {
     Visited.insert(F);
     OnStack.insert(F);
     Stack.push_back({F, true});
-    for (const FuncDecl *Callee : Callees[F])
-      Stack.push_back({Callee, false});
+    // Callees in declaration order, not in the pointer order of the set:
+    // the processing order fixes the order monomials are interned in, so
+    // it must not follow heap addresses.
+    for (const auto &Callee : Prog.Functions)
+      if (Callees[F].count(Callee.get()))
+        Stack.push_back({Callee.get(), false});
   }
   std::reverse(Order.begin(), Order.end()); // callers before callees
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+
 using namespace paco;
 
 namespace {
@@ -108,6 +111,73 @@ TEST(TransformTest, GuardsAreDisjointOnSamples) {
           Containing += Choice.Region.contains(Eff);
         EXPECT_LE(Containing, 1u) << X << "," << Y << "," << Z;
       }
+}
+
+// Two offloadable callees with different work parameters: the order the
+// front end processes them in is the order the monomials x*z and x*w
+// are interned in, and so the order of the terms in the rendered sums.
+const char *kTwoStages = R"MINIC(
+param int x in [1, 64];
+param int z in [1, 4096];
+param int w in [1, 4096];
+int *inbuf;
+int *midbuf;
+int *outbuf;
+void stage1() {
+  for (int i = 0; i < 32; i++) {
+    int acc = inbuf[i];
+    @trip(z) for (int k = 0; k < 1000000000; k++) {
+      if (k >= z) break;
+      acc = (acc * 3 + 1) & 65535;
+    }
+    midbuf[i] = acc;
+  }
+}
+void stage2() {
+  for (int i = 0; i < 32; i++) {
+    int acc = midbuf[i];
+    @trip(w) for (int k = 0; k < 1000000000; k++) {
+      if (k >= w) break;
+      acc = (acc * 5 + 7) & 65535;
+    }
+    outbuf[i] = acc;
+  }
+}
+void main() {
+  inbuf = malloc(32);
+  midbuf = malloc(32);
+  outbuf = malloc(32);
+  for (int j = 0; j < x; j++) {
+    for (int i = 0; i < 32; i++) inbuf[i] = io_read();
+    stage1();
+    stage2();
+    for (int i = 0; i < 32; i++) io_write(outbuf[i]);
+  }
+}
+)MINIC";
+
+TEST(TransformTest, RenderDoesNotDependOnHeapAddresses) {
+  std::mt19937 Rng(12345);
+  std::vector<std::unique_ptr<char[]>> Noise;
+  std::string First;
+  int Differing = 0;
+  for (int Compile = 0; Compile != 12; ++Compile) {
+    std::string Diags;
+    auto CP = compileForOffloading(kTwoStages, CostModel::defaults(), {},
+                                   &Diags);
+    ASSERT_TRUE(CP) << Diags;
+    std::string Rendered = renderTransformedProgram(*CP);
+    if (Compile == 0)
+      First = Rendered;
+    else if (Rendered != First)
+      ++Differing;
+    // Shift where the next compile's AST nodes land on the heap.
+    for (int K = 0; K != 64; ++K)
+      Noise.emplace_back(new char[16 + Rng() % 512]);
+    for (int K = 0; K != 32; ++K)
+      Noise.erase(Noise.begin() + static_cast<long>(Rng() % Noise.size()));
+  }
+  EXPECT_EQ(Differing, 0) << "of 11 recompiles rendered differently";
 }
 
 } // namespace
