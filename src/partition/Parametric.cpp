@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <deque>
 #include <set>
 
@@ -500,10 +499,6 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
     const DimMapper *Prev =
         CaseBits == 0 ? nullptr : &Slices[CaseBits - 1].Mapper.value();
     S.Mapper.emplace(S.SubNet, Space, std::vector<ParamId>{}, Prev);
-    if (Options.Verbose)
-      std::fprintf(stderr, "[parametric] case %u/%u dims=%u arcs=%u\n",
-                   CaseBits + 1, NumCases, S.Mapper->dim(),
-                   S.SubNet.numArcs());
   }
 
   // Phase 2: solve the slices, concurrently when Threads > 1. Slices are
@@ -635,9 +630,6 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
         Space.extendPoint(Full);
         tryPoint(std::move(Full));
       }
-      if (Options.Verbose)
-        std::fprintf(stderr, "[parametric]   sampled cuts=%zu\n",
-                     Cuts.size());
       for (const CutResult *Cut : Cuts) {
         Polyhedron Region = Mapper.box();
         for (const CutResult *Other : Cuts) {
@@ -685,9 +677,6 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
       while (!Certified) {
         Certified = true;
         const Generators &Gens = Region.generators();
-        if (Options.Verbose)
-          std::fprintf(stderr, "[parametric]   certify vertices=%zu\n",
-                       Gens.Vertices.size());
         if (Gens.Vertices.size() > Options.MaxVertices) {
           S.VertexLimitHit = true;
           break;

@@ -60,8 +60,6 @@ struct ParametricOptions {
   /// bit-identical for every thread count (slices are independent, merged
   /// in slice order, and all shared state is read-only while solving).
   unsigned Threads = 0;
-  /// Print solver progress to stderr.
-  bool Verbose = false;
 };
 
 /// One optimal partitioning choice with its parameter region.
