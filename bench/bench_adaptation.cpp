@@ -147,7 +147,7 @@ ScenarioResult runScenario(const CompiledProgram &CP, const char *Name,
               "  re-dispatches %zu\n",
               Name, S.Static.Time.toDouble(), S.Loop.Time.toDouble(),
               S.Local.Time.toDouble(), S.Loop.Redispatches.size());
-  for (const ExecResult::RedispatchEvent &E : S.Loop.Redispatches)
+  for (const RunEvent &E : S.Loop.Redispatches)
     std::printf("  t=%s task %u: choice %s -> %s (predicted %s -> %s)\n",
                 E.At.toString().c_str(), E.AtTask,
                 E.FromChoice == KNone ? "local"
@@ -170,7 +170,7 @@ void writeScenario(std::FILE *Out, const ScenarioResult &S, bool Last) {
                S.Name.c_str(), S.Static.Time.toDouble(),
                S.Loop.Time.toDouble(), S.Local.Time.toDouble());
   for (size_t I = 0; I != S.Loop.Redispatches.size(); ++I) {
-    const ExecResult::RedispatchEvent &E = S.Loop.Redispatches[I];
+    const RunEvent &E = S.Loop.Redispatches[I];
     std::fprintf(Out, "%s\n        {\"at\": %.0f, \"at_task\": %u, ",
                  I ? "," : "", E.At.toDouble(), E.AtTask);
     if (E.FromChoice == KNone)

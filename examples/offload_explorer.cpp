@@ -766,7 +766,7 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
     std::printf("adaptation: %zu re-dispatch(es), finished on %s\n",
                 R.Redispatches.size(),
                 choiceLabel(R.FinalChoice).c_str());
-    for (const ExecResult::RedispatchEvent &E : R.Redispatches)
+    for (const RunEvent &E : R.Redispatches)
       std::printf("  t=%s: %s -> %s (predicted %s -> %s)\n",
                   E.At.toString().c_str(),
                   choiceLabel(E.FromChoice).c_str(),

@@ -200,17 +200,9 @@ struct ExecResult {
   /// Measured instruction executions per task (for prediction error).
   std::map<unsigned, uint64_t> TaskInstrs;
 
-  /// One closed-loop re-dispatch the run performed (same payload the
-  /// timeline records as an AdaptMark).
-  struct RedispatchEvent {
-    Rational At;             ///< Simulated time of the switch.
-    unsigned AtTask = KNone; ///< The task boundary it fired at.
-    unsigned FromChoice = KNone;
-    unsigned ToChoice = KNone; ///< KNone = switched to all-client.
-    Rational PredictedStay;    ///< Profiled cost of keeping FromChoice.
-    Rational PredictedSwitch;  ///< Profiled cost of ToChoice.
-  };
-  std::vector<RedispatchEvent> Redispatches;
+  /// The closed-loop re-dispatches the run performed, in order (the
+  /// Redispatch events the timeline records).
+  std::vector<RunEvent> Redispatches;
 };
 
 /// Runs the program.

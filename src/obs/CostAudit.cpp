@@ -144,7 +144,7 @@ std::string CostAuditReport::toJSON() const {
   Out += "  },\n";
   Out += "  \"redispatches\": [";
   for (size_t I = 0; I != Redispatches.size(); ++I) {
-    const ExecResult::RedispatchEvent &E = Redispatches[I];
+    const RunEvent &E = Redispatches[I];
     auto choice = [](unsigned C) {
       return C == KNone ? std::string("null") : std::to_string(C);
     };
@@ -237,17 +237,13 @@ std::string CostAuditReport::toText() const {
   line("total", Total);
   if (!Redispatches.empty()) {
     Out += "re-dispatches:\n";
-    auto choice = [](unsigned C) {
-      return C == KNone ? std::string("local")
-                        : "choice " + std::to_string(C);
-    };
-    for (const ExecResult::RedispatchEvent &E : Redispatches) {
+    for (const RunEvent &E : Redispatches) {
       char Buf[192];
       std::snprintf(Buf, sizeof(Buf),
                     "  t=%s task %u: %s -> %s (predicted %s -> %s)\n",
                     fmtUnits(E.At).c_str(), E.AtTask,
-                    choice(E.FromChoice).c_str(),
-                    choice(E.ToChoice).c_str(),
+                    choiceName(E.FromChoice, "choice ").c_str(),
+                    choiceName(E.ToChoice, "choice ").c_str(),
                     fmtUnits(E.PredictedStay).c_str(),
                     fmtUnits(E.PredictedSwitch).c_str());
       Out += Buf;

@@ -60,7 +60,7 @@ struct CostAuditReport {
   /// prediction below is the *initial* choice's, so a re-dispatched run
   /// legitimately diverges from it -- that divergence is the drift the
   /// adaptation reacted to.
-  std::vector<ExecResult::RedispatchEvent> Redispatches;
+  std::vector<RunEvent> Redispatches;
 
   /// Component totals (the paper's cost taxonomy) plus the grand total.
   AuditEntry ClientCompute, ServerCompute, Scheduling, Communication,

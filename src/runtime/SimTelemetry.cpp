@@ -58,12 +58,10 @@ obs::TimeSeries paco::buildSimWindows(const RuntimeRecorder &Rec,
     LastEnd = std::max(LastEnd, S.End);
   for (const MessageRecord &M : Rec.messages())
     LastEnd = std::max(LastEnd, M.End);
-  for (const AdaptMark &M : Rec.adaptations())
-    LastEnd = std::max(LastEnd, M.At);
-  for (const RecoveryMark &M : Rec.recoveries())
-    LastEnd = std::max(LastEnd, M.At);
+  for (const RunEvent &E : Rec.events())
+    LastEnd = std::max(LastEnd, E.At);
   if (Rec.segments().empty() && Rec.messages().empty() &&
-      Rec.adaptations().empty() && Rec.recoveries().empty())
+      Rec.events().empty())
     return Series;
 
   // A record starting exactly at LastEnd (zero-length mark at the end of
@@ -88,10 +86,10 @@ obs::TimeSeries paco::buildSimWindows(const RuntimeRecorder &Rec,
       ++W.LedgerSyncs;
     W.MessageUnits.record(unitsOf(M.Start, M.End));
   }
-  for (const AdaptMark &M : Rec.adaptations())
-    ++Accum[windowOf(M.At, Opts.WindowUnits)].Adaptations;
-  for (const RecoveryMark &M : Rec.recoveries())
-    ++Accum[windowOf(M.At, Opts.WindowUnits)].Recoveries;
+  for (const RunEvent &E : Rec.events()) {
+    WindowAccum &W = Accum[windowOf(E.At, Opts.WindowUnits)];
+    ++(E.K == RunEvent::Kind::Redispatch ? W.Adaptations : W.Recoveries);
+  }
 
   double Width = Opts.WindowUnits.toDouble();
   for (size_t I = 0; I != NumWindows; ++I) {

@@ -13,6 +13,11 @@
 
 using namespace paco;
 
+std::string paco::choiceName(unsigned Choice, const char *Prefix) {
+  return Choice == ~0u ? std::string("local")
+                       : Prefix + std::to_string(Choice);
+}
+
 void RuntimeRecorder::beginSegment(unsigned Task, bool OnServer,
                                    Rational Now) {
   if (SegmentOpen)
@@ -36,8 +41,7 @@ void RuntimeRecorder::endSegment(Rational Now, uint64_t Instrs) {
 void RuntimeRecorder::clear() {
   Segments.clear();
   Messages.clear();
-  Adaptations.clear();
-  Recoveries.clear();
+  Events.clear();
   SegmentOpen = false;
 }
 
@@ -119,22 +123,19 @@ std::string units(const Rational &V) {
   return Buf;
 }
 
-std::string choiceName(unsigned Choice) {
-  return Choice == ~0u ? std::string("local")
-                       : "choice " + std::to_string(Choice);
-}
-
-const char *recoveryName(RecoveryMark::Kind K) {
+const char *eventName(RunEvent::Kind K) {
   switch (K) {
-  case RecoveryMark::Kind::Crash:
+  case RunEvent::Kind::Redispatch:
+    return "redispatch";
+  case RunEvent::Kind::Crash:
     return "server-crash";
-  case RecoveryMark::Kind::Restart:
+  case RunEvent::Kind::Restart:
     return "server-restart";
-  case RecoveryMark::Kind::Fallback:
+  case RunEvent::Kind::Fallback:
     return "crash-fallback";
-  case RecoveryMark::Kind::Reoffload:
+  case RunEvent::Kind::Reoffload:
     return "re-offload";
-  case RecoveryMark::Kind::Exhausted:
+  case RunEvent::Kind::Exhausted:
     return "probe-budget-exhausted";
   }
   return "?";
@@ -162,30 +163,27 @@ std::string RuntimeRecorder::renderTimeline(
              std::to_string(S.Instrs) + " instr(s)]";
     Rows.push_back(std::move(R));
   }
-  // Marks precede messages so a re-dispatch row sorts ahead of the
+  // Events precede messages so a re-dispatch row sorts ahead of the
   // reconciliation messages it triggered at the same instant.
-  for (const AdaptMark &A : Adaptations) {
+  size_t Redispatches = 0;
+  for (const RunEvent &E : Events) {
     Row R;
-    R.Start = A.At;
-    R.End = A.At;
+    R.Start = E.At;
+    R.End = E.At;
     R.Lane = 2;
-    R.Text = "redispatch " + choiceName(A.FromChoice) + "->" +
-             choiceName(A.ToChoice) + " at " +
-             labelOf(TaskLabels, A.AtTask, "task") + " (predicted " +
-             units(A.PredictedStay) + " -> " + units(A.PredictedSwitch) +
-             ")";
-    Rows.push_back(std::move(R));
-  }
-  for (const RecoveryMark &M : Recoveries) {
-    Row R;
-    R.Start = M.At;
-    R.End = M.At;
-    R.Lane = 2;
-    R.Text = recoveryName(M.K);
-    if (M.AtTask != ~0u)
-      R.Text += " at " + labelOf(TaskLabels, M.AtTask, "task");
-    if (M.K == RecoveryMark::Kind::Fallback)
-      R.Text += " [" + std::to_string(M.Restored) +
+    R.Text = eventName(E.K);
+    if (E.K == RunEvent::Kind::Redispatch) {
+      ++Redispatches;
+      R.Text += " " + choiceName(E.FromChoice, "choice ") + "->" +
+                choiceName(E.ToChoice, "choice ") + " at " +
+                labelOf(TaskLabels, E.AtTask, "task") + " (predicted " +
+                units(E.PredictedStay) + " -> " + units(E.PredictedSwitch) +
+                ")";
+    } else if (E.AtTask != ~0u) {
+      R.Text += " at " + labelOf(TaskLabels, E.AtTask, "task");
+    }
+    if (E.K == RunEvent::Kind::Fallback)
+      R.Text += " [" + std::to_string(E.Restored) +
                 " item(s) restored from ledger]";
     Rows.push_back(std::move(R));
   }
@@ -233,10 +231,11 @@ std::string RuntimeRecorder::renderTimeline(
          pct(Server) + "%), channel " + units(Channel) + " (" +
          pct(Channel) + "%); " + std::to_string(Segments.size()) +
          " segment(s), " + std::to_string(Messages.size()) + " message(s)";
-  if (!Adaptations.empty())
-    Out += ", " + std::to_string(Adaptations.size()) + " redispatch(es)";
-  if (!Recoveries.empty())
-    Out += ", " + std::to_string(Recoveries.size()) + " recovery event(s)";
+  if (Redispatches)
+    Out += ", " + std::to_string(Redispatches) + " redispatch(es)";
+  if (Events.size() != Redispatches)
+    Out += ", " + std::to_string(Events.size() - Redispatches) +
+           " recovery event(s)";
   Out += "\n";
   return Out;
 }
@@ -296,21 +295,18 @@ void RuntimeRecorder::emitChromeLanes(
     T.laneEvent(Name, "simtime", TracePid, ChannelTid, Start, Dur,
                 std::move(Args));
   }
-  for (const AdaptMark &A : Adaptations) {
-    T.laneEvent("redispatch", "simtime", TracePid, ChannelTid,
-                A.At.toDouble(), 0.0,
-                {{"at_task", labelOf(TaskLabels, A.AtTask, "task")},
-                 {"from", choiceName(A.FromChoice)},
-                 {"to", choiceName(A.ToChoice)},
-                 {"predicted_stay", A.PredictedStay.toString()},
-                 {"predicted_switch", A.PredictedSwitch.toString()}});
-  }
-  for (const RecoveryMark &M : Recoveries) {
+  for (const RunEvent &E : Events) {
     std::vector<obs::TraceArg> Args = {
-        {"at_task", labelOf(TaskLabels, M.AtTask, "task")}};
-    if (M.K == RecoveryMark::Kind::Fallback)
-      Args.emplace_back("restored", M.Restored);
-    T.laneEvent(recoveryName(M.K), "simtime", TracePid, ChannelTid,
-                M.At.toDouble(), 0.0, std::move(Args));
+        {"at_task", labelOf(TaskLabels, E.AtTask, "task")}};
+    if (E.K == RunEvent::Kind::Redispatch) {
+      Args.emplace_back("from", choiceName(E.FromChoice, "choice "));
+      Args.emplace_back("to", choiceName(E.ToChoice, "choice "));
+      Args.emplace_back("predicted_stay", E.PredictedStay.toString());
+      Args.emplace_back("predicted_switch", E.PredictedSwitch.toString());
+    } else if (E.K == RunEvent::Kind::Fallback) {
+      Args.emplace_back("restored", E.Restored);
+    }
+    T.laneEvent(eventName(E.K), "simtime", TracePid, ChannelTid,
+                E.At.toDouble(), 0.0, std::move(Args));
   }
 }

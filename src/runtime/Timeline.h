@@ -9,7 +9,8 @@
 /// (exact Rational cost units, not wall time). The interpreter attaches a
 /// RuntimeRecorder through ExecOptions and reports every task-execution
 /// segment and every runtime message (scheduling, data transfer,
-/// registration) with its start/end simulated time. Segments are split at
+/// registration) with its start/end simulated time, plus every control
+/// event (RunEvent) at the instant it happened. Segments are split at
 /// every message, so the recorded spans partition the run exactly: the sum
 /// of all span durations equals the run's elapsed time, which the test
 /// suite checks and the cost audit relies on.
@@ -61,35 +62,33 @@ struct MessageRecord {
   Rational Start, End;
 };
 
-/// One closed-loop re-dispatch: at a task boundary the adaptation layer
-/// switched the run to a different partitioning choice, with the
-/// repriced (profiled-model) costs that justified it.
-struct AdaptMark {
-  Rational At;               ///< Simulated time of the switch.
-  unsigned AtTask = ~0u;     ///< The boundary task.
-  unsigned FromChoice = ~0u; ///< ~0u renders as the all-client "local".
-  unsigned ToChoice = ~0u;
-  Rational PredictedStay;   ///< Keeping FromChoice, under the profile.
-  Rational PredictedSwitch; ///< Running ToChoice, under the profile.
+/// One control decision the runtime took at a task boundary, or one
+/// server-lifecycle event it observed. The timeline, the Chrome lanes,
+/// the sim windows and the cost audit read these records; the
+/// interpreter writes the matching log line, trace instant and counters
+/// from the same record. Rendered as a zero-length channel event.
+struct RunEvent {
+  enum class Kind {
+    Redispatch, ///< The closed loop switched partitioning choice.
+    Crash,      ///< The server process died; server-resident data lost.
+    Restart,    ///< A blank server process came back.
+    Fallback,   ///< Rolled back to the checkpoint, resumed on the client.
+    Reoffload,  ///< A probe priced the remote cut back in; re-dispatched.
+    Exhausted,  ///< Probe budget spent; the degrade became permanent.
+  };
+  Kind K = Kind::Redispatch;
+  Rational At;               ///< Simulated time of the event.
+  unsigned AtTask = ~0u;     ///< Task active when the run observed it.
+  unsigned FromChoice = ~0u; ///< Redispatch; ~0u is the all-client "local".
+  unsigned ToChoice = ~0u;   ///< Redispatch and Reoffload.
+  Rational PredictedStay;    ///< Redispatch: keeping FromChoice, profiled.
+  Rational PredictedSwitch;  ///< Redispatch: running ToChoice, profiled.
+  uint64_t Restored = 0;     ///< Fallback: data items restored from ledger.
 };
 
-/// One server-failure lifecycle event: a scheduled crash or restart, the
-/// rollback-and-fallback it forced, or the end state of the recovery
-/// probing that followed (rendered as zero-length channel events; the
-/// probes themselves are MessageRecords).
-struct RecoveryMark {
-  enum class Kind {
-    Crash,     ///< The server process died; server-resident data lost.
-    Restart,   ///< A blank server process came back.
-    Fallback,  ///< Rolled back to the checkpoint, resumed on the client.
-    Reoffload, ///< A probe priced the remote cut back in; re-dispatched.
-    Exhausted, ///< Probe budget spent; the degrade became permanent.
-  };
-  Kind K = Kind::Crash;
-  Rational At;           ///< Simulated time of the event.
-  unsigned AtTask = ~0u; ///< Task active when the run observed it.
-  uint64_t Restored = 0; ///< Fallback: data items restored from the ledger.
-};
+/// Prints a partitioning choice: ~0u (the all-client run) as "local",
+/// any other as \p Prefix followed by its index.
+std::string choiceName(unsigned Choice, const char *Prefix = "");
 
 /// Collects the timeline of one simulated run. Not thread-safe: the
 /// interpreter is single-threaded and owns the recorder for the run.
@@ -106,19 +105,15 @@ public:
 
   void message(MessageRecord M) { Messages.push_back(std::move(M)); }
 
-  /// Records one re-dispatch (rendered as a zero-length channel event).
-  void adapt(AdaptMark M) { Adaptations.push_back(std::move(M)); }
-
-  /// Records one server-failure lifecycle event.
-  void recovery(RecoveryMark M) { Recoveries.push_back(std::move(M)); }
+  /// Records one control event, in the order the run took them.
+  void event(RunEvent E) { Events.push_back(std::move(E)); }
 
   /// Drops all recorded state, ready for a fresh run.
   void clear();
 
   const std::vector<TaskSegment> &segments() const { return Segments; }
   const std::vector<MessageRecord> &messages() const { return Messages; }
-  const std::vector<AdaptMark> &adaptations() const { return Adaptations; }
-  const std::vector<RecoveryMark> &recoveries() const { return Recoveries; }
+  const std::vector<RunEvent> &events() const { return Events; }
 
   /// Total simulated units per lane. client + server + channel equals the
   /// run's elapsed time (segments and messages partition the run).
@@ -146,8 +141,7 @@ public:
 private:
   std::vector<TaskSegment> Segments;
   std::vector<MessageRecord> Messages;
-  std::vector<AdaptMark> Adaptations;
-  std::vector<RecoveryMark> Recoveries;
+  std::vector<RunEvent> Events;
   bool SegmentOpen = false;
 };
 

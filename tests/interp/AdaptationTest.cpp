@@ -181,7 +181,7 @@ TEST(AdaptationTest, ClosedLoopBeatsStaticAndLocalUnderBandwidthCollapse) {
   // (this program's partition set contains an explicit server={} choice,
   // so the detector lands there rather than on the KNone sentinel).
   ASSERT_EQ(Loop.Redispatches.size(), 1u);
-  const ExecResult::RedispatchEvent &E = Loop.Redispatches[0];
+  const RunEvent &E = Loop.Redispatches[0];
   EXPECT_EQ(E.FromChoice, Loop.ChoiceUsed);
   EXPECT_NE(E.ToChoice, E.FromChoice);
   EXPECT_TRUE(allClientChoice(*CP, E.ToChoice));
@@ -198,9 +198,9 @@ TEST(AdaptationTest, ClosedLoopBeatsStaticAndLocalUnderBandwidthCollapse) {
   EXPECT_LT(Loop.Time, LocalDrift.Time);
 
   // The timeline saw the same event the result reports.
-  ASSERT_EQ(Recorder.adaptations().size(), 1u);
-  EXPECT_EQ(Recorder.adaptations()[0].At, E.At);
-  EXPECT_EQ(Recorder.adaptations()[0].ToChoice, E.ToChoice);
+  ASSERT_EQ(Recorder.events().size(), 1u);
+  EXPECT_EQ(Recorder.events()[0].At, E.At);
+  EXPECT_EQ(Recorder.events()[0].ToChoice, E.ToChoice);
 
   // Same seed, same bytes: timeline render, audit JSON, every cost.
   std::vector<std::string> TaskLabels, DataLabels;

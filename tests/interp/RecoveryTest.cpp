@@ -192,11 +192,11 @@ TEST(RecoveryTest, CrashRestartRecoversProbesAndReoffloads) {
   // The timeline saw the same lifecycle the result reports.
   bool SawCrash = false, SawRestart = false, SawFallback = false,
        SawReoffload = false;
-  for (const RecoveryMark &M : Recorder.recoveries()) {
-    SawCrash |= M.K == RecoveryMark::Kind::Crash;
-    SawRestart |= M.K == RecoveryMark::Kind::Restart;
-    SawFallback |= M.K == RecoveryMark::Kind::Fallback;
-    SawReoffload |= M.K == RecoveryMark::Kind::Reoffload;
+  for (const RunEvent &M : Recorder.events()) {
+    SawCrash |= M.K == RunEvent::Kind::Crash;
+    SawRestart |= M.K == RunEvent::Kind::Restart;
+    SawFallback |= M.K == RunEvent::Kind::Fallback;
+    SawReoffload |= M.K == RunEvent::Kind::Reoffload;
   }
   EXPECT_TRUE(SawCrash);
   EXPECT_TRUE(SawRestart);
@@ -267,8 +267,8 @@ TEST(RecoveryTest, PermanentCrashExhaustsProbesAndDegrades) {
   EXPECT_EQ(Loop.FinalChoice, KNone);
 
   bool SawExhausted = false;
-  for (const RecoveryMark &M : Recorder.recoveries())
-    SawExhausted |= M.K == RecoveryMark::Kind::Exhausted;
+  for (const RunEvent &M : Recorder.events())
+    SawExhausted |= M.K == RunEvent::Kind::Exhausted;
   EXPECT_TRUE(SawExhausted);
   EXPECT_NE(timelineOf(*CP, Recorder).find("probe-budget-exhausted"),
             std::string::npos);
