@@ -18,6 +18,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 using namespace paco;
 
 namespace {
@@ -32,6 +35,29 @@ void BM_BigIntMulDiv(benchmark::State &State) {
 }
 BENCHMARK(BM_BigIntMulDiv);
 
+void BM_BigIntSmallGcd(benchmark::State &State) {
+  // gcds of int64-sized values sharing a factor, the shape
+  // Rational::normalize sees; one gcd per iteration.
+  std::vector<std::pair<BigInt, BigInt>> Pairs;
+  uint64_t Seed = static_cast<uint64_t>(State.range(0));
+  auto Next = [&Seed]() {
+    Seed ^= Seed << 13;
+    Seed ^= Seed >> 7;
+    Seed ^= Seed << 17;
+    return static_cast<int64_t>(Seed % 1000000007) + 1;
+  };
+  for (int I = 0; I != 64; ++I) {
+    int64_t Common = Next() % 5000 + 1;
+    Pairs.emplace_back(BigInt(Common * Next()), BigInt(-Common * Next()));
+  }
+  size_t I = 0;
+  for (auto _ : State) {
+    const auto &[A, B] = Pairs[I++ % Pairs.size()];
+    benchmark::DoNotOptimize(BigInt::gcd(A, B));
+  }
+}
+BENCHMARK(BM_BigIntSmallGcd)->Arg(88172645463325252);
+
 void BM_RationalSum(benchmark::State &State) {
   for (auto _ : State) {
     Rational Sum;
@@ -41,6 +67,23 @@ void BM_RationalSum(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_RationalSum);
+
+void BM_CapacityEvaluate(benchmark::State &State) {
+  // One arc capacity of solveMinCutStructure's inner loop: a multi-term
+  // affine cost evaluated exactly at a rational sample point.
+  const int64_t Scale = State.range(0);
+  LinExpr Cap(Rational::fraction(3, 2));
+  Cap.addTerm(0, Rational::fraction(17, 3));
+  Cap.addTerm(1, Rational(Scale));
+  Cap.addTerm(2, Rational::fraction(1, 7));
+  Cap.addTerm(3, Rational::fraction(Scale, 9));
+  std::vector<Rational> Point = {Rational(8), Rational::fraction(65, 2),
+                                 Rational::fraction(4000, 3),
+                                 Rational::fraction(5, 4)};
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Cap.evaluate(Point));
+}
+BENCHMARK(BM_CapacityEvaluate)->Arg(1000);
 
 void BM_PolyhedronVertices(benchmark::State &State) {
   const unsigned Dim = static_cast<unsigned>(State.range(0));

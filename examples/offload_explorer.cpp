@@ -90,12 +90,6 @@ const char *adaptName(AdaptationPolicy Policy) {
   return "?";
 }
 
-std::string choiceLabel(unsigned Choice) {
-  // Matches the 1-based numbering the dispatch table prints.
-  return Choice == KNone ? std::string("local")
-                         : "choice " + std::to_string(Choice + 1);
-}
-
 const char *policyName(FaultPolicy Policy) {
   switch (Policy) {
   case FaultPolicy::FailFast:
@@ -229,7 +223,7 @@ int serveRequests(const CompiledProgram &CP, const std::string &Path,
     ++Histogram[C];
   for (unsigned C = 0; C != Histogram.size(); ++C)
     if (Histogram[C])
-      std::printf("  choice %-3u %8llu request(s)  (%5.1f%%)\n", C + 1,
+      std::printf("  choice %-3u %8llu request(s)  (%5.1f%%)\n", C,
                   static_cast<unsigned long long>(Histogram[C]),
                   100.0 * double(Histogram[C]) / double(NumRequests));
   double Total = double(NumRequests) * Repeat;
@@ -727,8 +721,8 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
     std::printf("run FAILED: %s\n", R.Error.c_str());
     return 1;
   }
-  std::printf("choice %u  time %s (local %s)  energy %.4f J\n",
-              R.ChoiceUsed == KNone ? 0 : R.ChoiceUsed + 1,
+  std::printf("%s  time %s (local %s)  energy %.4f J\n",
+              choiceName(R.ChoiceUsed, "choice ").c_str(),
               R.Time.toString().c_str(), Local.Time.toString().c_str(),
               R.EnergyJoules);
   std::printf("client instrs %llu  server instrs %llu  migrations %llu  "
@@ -765,12 +759,12 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
   if (!R.Redispatches.empty() || R.FinalChoice != R.ChoiceUsed) {
     std::printf("adaptation: %zu re-dispatch(es), finished on %s\n",
                 R.Redispatches.size(),
-                choiceLabel(R.FinalChoice).c_str());
+                choiceName(R.FinalChoice, "choice ").c_str());
     for (const RunEvent &E : R.Redispatches)
       std::printf("  t=%s: %s -> %s (predicted %s -> %s)\n",
                   E.At.toString().c_str(),
-                  choiceLabel(E.FromChoice).c_str(),
-                  choiceLabel(E.ToChoice).c_str(),
+                  choiceName(E.FromChoice, "choice ").c_str(),
+                  choiceName(E.ToChoice, "choice ").c_str(),
                   E.PredictedStay.toString().c_str(),
                   E.PredictedSwitch.toString().c_str());
   }

@@ -905,7 +905,11 @@ void Machine::note(const Note &N) {
     std::optional<obs::EventLog::EventBuilder> B;
     if (Ev) {
       B.emplace(Ev->event(L, Type));
-      B->field("t_units", N.At.toString()).field("task", CurrentTask);
+      B->field("t_units", N.At.toString());
+      if (CurrentTask == KNone)
+        B->field("task", nullptr);
+      else
+        B->field("task", CurrentTask);
       if (CurrentTask < CP.Graph.Tasks.size())
         B->field("task_label", CP.Graph.Tasks[CurrentTask].Label);
     }

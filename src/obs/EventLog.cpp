@@ -125,6 +125,15 @@ EventLog::EventBuilder &EventLog::EventBuilder::field(const char *Key,
   return *this;
 }
 
+EventLog::EventBuilder &EventLog::EventBuilder::field(const char *Key,
+                                                      std::nullptr_t) {
+  if (!Log)
+    return *this;
+  appendKey(Line, Key);
+  Line += "null";
+  return *this;
+}
+
 EventLog::EventBuilder EventLog::event(LogLevel L, const char *Type) {
   if (L < MinLevel)
     return EventBuilder(nullptr, std::string());

@@ -22,6 +22,7 @@
 #ifndef PACO_OBS_EVENTLOG_H
 #define PACO_OBS_EVENTLOG_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -73,6 +74,8 @@ public:
     }
     EventBuilder &field(const char *Key, double Value);
     EventBuilder &field(const char *Key, bool Value);
+    /// Writes `null`, for a field whose value does not exist.
+    EventBuilder &field(const char *Key, std::nullptr_t);
 
     ~EventBuilder() {
       if (Log)

@@ -8,6 +8,7 @@
 
 #include "obs/Stats.h"
 
+#include <bit>
 #include <cassert>
 
 using namespace paco;
@@ -19,6 +20,8 @@ obs::Counter &Halfspaces =
     obs::StatsRegistry::global().counter("poly.dd_halfspaces");
 obs::Counter &RayCombinations =
     obs::StatsRegistry::global().counter("poly.dd_ray_combinations");
+obs::Counter &AdjacencyRejects =
+    obs::StatsRegistry::global().counter("poly.dd_adjacency_rejects");
 } // namespace
 
 BigInt paco::dotProduct(const std::vector<BigInt> &A,
@@ -133,8 +136,20 @@ void ConeBuilder::addInequality(const std::vector<BigInt> &Normal) {
 
   std::vector<std::vector<BigInt>> NewRays;
   std::vector<std::vector<uint64_t>> NewSat;
+  // Two extreme rays span a 2-face only if the constraints they both
+  // saturate have rank (Dim - |Lines|) - 2, so fewer common saturations
+  // than that rule a pair out before the O(rays) cover scan.
+  int MinCommon = static_cast<int>(Dim - Lines.size()) - 2;
+  uint64_t Rejects = 0;
   for (size_t P : Pos) {
     for (size_t N : Neg) {
+      int Common = 0;
+      for (size_t W = 0; W != Sat[P].size(); ++W)
+        Common += std::popcount(Sat[P][W] & Sat[N][W]);
+      if (Common < MinCommon) {
+        ++Rejects;
+        continue;
+      }
       if (!rayPairAdjacent(P, N))
         continue;
       std::vector<BigInt> Combined(Rays[P].size());
@@ -161,6 +176,7 @@ void ConeBuilder::addInequality(const std::vector<BigInt> &Normal) {
     KeptRays.push_back(std::move(Rays[R]));
   }
   RayCombinations.add(NewRays.size());
+  AdjacencyRejects.add(Rejects);
   for (size_t I = 0; I != NewRays.size(); ++I) {
     KeptRays.push_back(std::move(NewRays[I]));
     KeptSat.push_back(std::move(NewSat[I]));

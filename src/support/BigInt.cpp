@@ -7,57 +7,63 @@
 #include "support/BigInt.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <memory>
 
 using namespace paco;
 
 namespace {
 
-/// \returns the magnitude as a uint64_t if it fits in two limbs.
-inline bool magToUint64(const std::vector<uint32_t> &Limbs, uint64_t &Out) {
-  switch (Limbs.size()) {
-  case 0:
-    Out = 0;
-    return true;
-  case 1:
-    Out = Limbs[0];
-    return true;
-  case 2:
-    Out = (static_cast<uint64_t>(Limbs[1]) << 32) | Limbs[0];
-    return true;
-  default:
-    return false;
-  }
-}
+/// Zero-filled working storage for one limb array: on the stack for the
+/// operand sizes the analyses produce, on the heap beyond.
+class LimbBuffer {
+public:
+  explicit LimbBuffer(size_t N)
+      : Big(N > std::size(Local) ? std::make_unique<uint32_t[]>(N)
+                                 : nullptr) {}
+  uint32_t *data() { return Big ? Big.get() : Local; }
 
-/// Overwrites \p Limbs with the little-endian limbs of \p Value.
-inline void uint64ToMag(uint64_t Value, std::vector<uint32_t> &Limbs) {
-  Limbs.clear();
-  while (Value != 0) {
-    Limbs.push_back(static_cast<uint32_t>(Value & 0xffffffffu));
-    Value >>= 32;
-  }
-}
+private:
+  uint32_t Local[24] = {};
+  std::unique_ptr<uint32_t[]> Big;
+};
 
-inline std::vector<uint32_t> magFromUint64(uint64_t Value) {
-  std::vector<uint32_t> Limbs;
-  uint64ToMag(Value, Limbs);
-  return Limbs;
+int compareLimbs(std::span<const uint32_t> A, std::span<const uint32_t> B) {
+  if (A.size() != B.size())
+    return A.size() < B.size() ? -1 : 1;
+  for (size_t I = A.size(); I-- > 0;)
+    if (A[I] != B[I])
+      return A[I] < B[I] ? -1 : 1;
+  return 0;
 }
 
 } // namespace
 
-BigInt::BigInt(int64_t Value) {
-  if (Value == 0)
-    return;
-  Sign = Value < 0 ? -1 : 1;
-  // Negate via uint64_t so INT64_MIN does not overflow.
-  uint64_t Mag = Value < 0 ? ~static_cast<uint64_t>(Value) + 1
-                           : static_cast<uint64_t>(Value);
-  while (Mag != 0) {
-    Limbs.push_back(static_cast<uint32_t>(Mag & 0xffffffffu));
-    Mag >>= 32;
+BigInt BigInt::fromLimbs(int Sign, const uint32_t *Limbs, size_t N) {
+  while (N != 0 && Limbs[N - 1] == 0)
+    --N;
+  if (N <= 2) {
+    uint64_t Mag = N == 0 ? 0 : Limbs[0];
+    if (N == 2)
+      Mag |= static_cast<uint64_t>(Limbs[1]) << 32;
+    return inlineValue(Sign, Mag);
   }
+  BigInt Result;
+  Result.Sign = Sign;
+  Result.Len = static_cast<uint32_t>(N);
+  Result.Heap = new uint32_t[N];
+  std::memcpy(Result.Heap, Limbs, N * sizeof(uint32_t));
+  return Result;
+}
+
+std::span<const uint32_t> BigInt::limbs(uint32_t (&Buf)[2]) const {
+  if (Len != 0)
+    return {Heap, Len};
+  Buf[0] = static_cast<uint32_t>(Small);
+  Buf[1] = static_cast<uint32_t>(Small >> 32);
+  return {Buf, Buf[1] != 0 ? 2u : Buf[0] != 0 ? 1u : 0u};
 }
 
 BigInt BigInt::fromString(const std::string &Text) {
@@ -78,40 +84,10 @@ BigInt BigInt::fromString(const std::string &Text) {
   return Negative ? -Result : Result;
 }
 
-bool BigInt::fitsInt64() const {
-  if (Limbs.size() > 2)
-    return false;
-  if (Limbs.size() < 2)
-    return true;
-  uint64_t Mag =
-      (static_cast<uint64_t>(Limbs[1]) << 32) | static_cast<uint64_t>(Limbs[0]);
-  if (Sign > 0)
-    return Mag <= static_cast<uint64_t>(INT64_MAX);
-  return Mag <= static_cast<uint64_t>(INT64_MAX) + 1;
-}
-
-int64_t BigInt::toInt64() const {
-  assert(fitsInt64() && "value does not fit in int64_t");
-  uint64_t Mag = 0;
-  if (Limbs.size() >= 1)
-    Mag |= static_cast<uint64_t>(Limbs[0]);
-  if (Limbs.size() >= 2)
-    Mag |= static_cast<uint64_t>(Limbs[1]) << 32;
-  if (Sign < 0)
-    return static_cast<int64_t>(~Mag + 1);
-  return static_cast<int64_t>(Mag);
-}
-
 unsigned BigInt::bitLength() const {
-  if (Limbs.empty())
-    return 0;
-  uint32_t Top = Limbs.back();
-  unsigned Bits = static_cast<unsigned>(Limbs.size() - 1) * 32;
-  while (Top != 0) {
-    ++Bits;
-    Top >>= 1;
-  }
-  return Bits;
+  if (Len == 0)
+    return 64 - std::countl_zero(Small);
+  return Len * 32 - std::countl_zero(Heap[Len - 1]);
 }
 
 double BigInt::frexpMagnitude(int &Exp) const {
@@ -123,14 +99,17 @@ double BigInt::frexpMagnitude(int &Exp) const {
   // at round-to-nearest ties, which a 64->53 bit conversion resolves the
   // same way for all but adversarially constructed inputs.
   unsigned Bits = bitLength();
-  uint64_t Top = 0;
-  for (unsigned B = 0; B != 64; ++B) {
-    Top <<= 1;
-    if (B < Bits) {
-      unsigned Idx = Bits - 1 - B;
-      if ((Limbs[Idx / 32] >> (Idx % 32)) & 1)
-        Top |= 1;
-    }
+  uint64_t Top;
+  if (Len == 0) {
+    Top = Small << (64 - Bits);
+  } else {
+    // The 64 bits from Low upward span at most three limbs.
+    unsigned Low = Bits - 64, L = Low / 32;
+    unsigned __int128 Window =
+        Heap[L] | static_cast<unsigned __int128>(Heap[L + 1]) << 32;
+    if (L + 2 < Len)
+      Window |= static_cast<unsigned __int128>(Heap[L + 2]) << 64;
+    Top = static_cast<uint64_t>(Window >> (Low % 32));
   }
   // Top holds the leading 64 bits, i.e. magnitude ~= Top * 2^(Bits-64);
   // fold Top into [0.5, 1) so the caller combines exponents separately.
@@ -146,19 +125,23 @@ double BigInt::toDouble() const {
 }
 
 std::string BigInt::toString() const {
-  if (isZero())
-    return "0";
+  if (Len == 0)
+    return (Sign < 0 ? "-" : "") + std::to_string(Small);
   // Repeated division by 10^9 produces nine decimal digits per step.
-  std::vector<uint32_t> Mag = Limbs;
+  LimbBuffer Buf(Len);
+  uint32_t *Mag = Buf.data();
+  std::memcpy(Mag, Heap, Len * sizeof(uint32_t));
+  size_t N = Len;
   std::string Digits;
-  while (!Mag.empty()) {
+  while (N != 0) {
     uint64_t Rem = 0;
-    for (size_t I = Mag.size(); I-- > 0;) {
+    for (size_t I = N; I-- > 0;) {
       uint64_t Cur = (Rem << 32) | Mag[I];
       Mag[I] = static_cast<uint32_t>(Cur / 1000000000u);
       Rem = Cur % 1000000000u;
     }
-    trim(Mag);
+    while (N != 0 && Mag[N - 1] == 0)
+      --N;
     for (int I = 0; I != 9; ++I) {
       Digits.push_back(static_cast<char>('0' + Rem % 10));
       Rem /= 10;
@@ -172,280 +155,203 @@ std::string BigInt::toString() const {
   return Digits;
 }
 
-BigInt BigInt::operator-() const {
-  BigInt Result = *this;
-  Result.Sign = -Result.Sign;
-  return Result;
-}
-
-BigInt BigInt::operator+(const BigInt &RHS) const {
-  if (isZero())
-    return RHS;
-  if (RHS.isZero())
+BigInt BigInt::addSlow(const BigInt &RHS, int RHSSign) const {
+  if (RHSSign == 0)
     return *this;
-  BigInt Result;
-  if (Sign == RHS.Sign) {
-    Result.Sign = Sign;
-    Result.Limbs = addMagnitude(Limbs, RHS.Limbs);
+  if (Sign == 0) {
+    BigInt Result = RHS;
+    Result.Sign = RHSSign;
     return Result;
   }
-  int Cmp = compareMagnitude(Limbs, RHS.Limbs);
-  if (Cmp == 0)
-    return Result; // zero
-  if (Cmp > 0) {
-    Result.Sign = Sign;
-    Result.Limbs = subMagnitude(Limbs, RHS.Limbs);
-  } else {
-    Result.Sign = RHS.Sign;
-    Result.Limbs = subMagnitude(RHS.Limbs, Limbs);
+  uint32_t BufA[2], BufB[2];
+  std::span<const uint32_t> A = limbs(BufA), B = RHS.limbs(BufB);
+  int ResultSign = Sign;
+  if (Sign == RHSSign) {
+    if (A.size() < B.size())
+      std::swap(A, B);
+    LimbBuffer Out(A.size() + 1);
+    uint32_t *Sum = Out.data();
+    uint64_t Carry = 0;
+    for (size_t I = 0; I != A.size(); ++I) {
+      Carry += static_cast<uint64_t>(A[I]) + (I < B.size() ? B[I] : 0);
+      Sum[I] = static_cast<uint32_t>(Carry);
+      Carry >>= 32;
+    }
+    Sum[A.size()] = static_cast<uint32_t>(Carry);
+    return fromLimbs(ResultSign, Sum, A.size() + 1);
   }
-  return Result;
-}
-
-BigInt BigInt::operator-(const BigInt &RHS) const { return *this + (-RHS); }
-
-BigInt BigInt::operator*(const BigInt &RHS) const {
-  if (isZero() || RHS.isZero())
+  int Cmp = compareLimbs(A, B);
+  if (Cmp == 0)
     return BigInt();
-  BigInt Result;
-  Result.Sign = Sign * RHS.Sign;
-  Result.Limbs = mulMagnitude(Limbs, RHS.Limbs);
-  return Result;
+  if (Cmp < 0) {
+    std::swap(A, B);
+    ResultSign = RHSSign;
+  }
+  LimbBuffer Out(A.size());
+  uint32_t *Diff = Out.data();
+  uint64_t Borrow = 0;
+  for (size_t I = 0; I != A.size(); ++I) {
+    uint64_t Cur = static_cast<uint64_t>(A[I]) - (I < B.size() ? B[I] : 0) -
+                   Borrow;
+    Diff[I] = static_cast<uint32_t>(Cur);
+    Borrow = Cur >> 63; // wrapped below zero
+  }
+  return fromLimbs(ResultSign, Diff, A.size());
 }
 
-BigInt BigInt::operator/(const BigInt &RHS) const {
-  BigInt Quot, Rem;
-  divMod(*this, RHS, Quot, Rem);
-  return Quot;
+BigInt BigInt::mulSlow(const BigInt &RHS) const {
+  if (Sign == 0 || RHS.Sign == 0)
+    return BigInt();
+  uint32_t BufA[2], BufB[2];
+  std::span<const uint32_t> A = limbs(BufA), B = RHS.limbs(BufB);
+  LimbBuffer Out(A.size() + B.size());
+  uint32_t *Product = Out.data();
+  for (size_t I = 0; I != A.size(); ++I) {
+    uint64_t Carry = 0;
+    for (size_t J = 0; J != B.size(); ++J) {
+      Carry += static_cast<uint64_t>(A[I]) * B[J] + Product[I + J];
+      Product[I + J] = static_cast<uint32_t>(Carry);
+      Carry >>= 32;
+    }
+    Product[I + B.size()] = static_cast<uint32_t>(Carry);
+  }
+  return fromLimbs(Sign * RHS.Sign, Product, A.size() + B.size());
 }
 
-BigInt BigInt::operator%(const BigInt &RHS) const {
-  BigInt Quot, Rem;
-  divMod(*this, RHS, Quot, Rem);
-  return Rem;
+int BigInt::compareMagnitude(const BigInt &RHS) const {
+  uint32_t BufA[2], BufB[2];
+  return compareLimbs(limbs(BufA), RHS.limbs(BufB));
 }
 
 void BigInt::divMod(const BigInt &Num, const BigInt &Den, BigInt &Quot,
                     BigInt &Rem) {
   assert(!Den.isZero() && "division by zero");
-  Quot = BigInt();
-  Rem = BigInt();
-  if (Num.isZero())
+  // Every path reads the operands before it writes a result: Quot or Rem
+  // may be one of them.
+  int QuotSign = Num.Sign * Den.Sign;
+  if (Num.Len == 0 && Den.Len == 0) {
+    uint64_t Q = Num.Small / Den.Small, R = Num.Small % Den.Small;
+    int RemSign = Num.Sign;
+    Quot = inlineValue(QuotSign, Q);
+    Rem = inlineValue(RemSign, R);
     return;
-  divModMagnitude(Num.Limbs, Den.Limbs, Quot.Limbs, Rem.Limbs);
-  Quot.Sign = Quot.Limbs.empty() ? 0 : Num.Sign * Den.Sign;
-  Rem.Sign = Rem.Limbs.empty() ? 0 : Num.Sign;
-  Quot.canonicalize();
-  Rem.canonicalize();
-}
+  }
+  uint32_t BufU[2], BufV[2];
+  std::span<const uint32_t> U = Num.limbs(BufU), V = Den.limbs(BufV);
+  size_t M = U.size(), N = V.size();
+  if (compareLimbs(U, V) < 0) {
+    BigInt R = Num;
+    Quot = BigInt();
+    Rem = std::move(R);
+    return;
+  }
+  LimbBuffer QuotBuf(M - N + 1);
+  uint32_t *Q = QuotBuf.data();
+  if (N == 1) {
+    // Single-limb divisor: one pass of schoolbook short division.
+    uint64_t Carry = 0;
+    for (size_t I = M; I-- > 0;) {
+      uint64_t Cur = (Carry << 32) | U[I];
+      Q[I] = static_cast<uint32_t>(Cur / V[0]);
+      Carry = Cur % V[0];
+    }
+    BigInt R = inlineValue(Num.Sign, Carry);
+    Quot = fromLimbs(QuotSign, Q, M);
+    Rem = std::move(R);
+    return;
+  }
 
-int BigInt::compare(const BigInt &RHS) const {
-  if (Sign != RHS.Sign)
-    return Sign < RHS.Sign ? -1 : 1;
-  int MagCmp = compareMagnitude(Limbs, RHS.Limbs);
-  return Sign < 0 ? -MagCmp : MagCmp;
-}
+  // Knuth's Algorithm D (TAOCP vol. 2, 4.3.1), in base 2^32. Normalize so
+  // the divisor's top limb has its high bit set; each quotient digit's
+  // two-limb estimate is then at most two too large, the test against the
+  // divisor's second limb removes all but (rarely) one of that excess,
+  // and the multiply-subtract's borrow signals the last one (add back).
+  constexpr uint64_t Base = uint64_t(1) << 32;
+  unsigned Shift = std::countl_zero(V[N - 1]);
+  auto ShiftedLimb = [Shift](uint32_t Hi, uint32_t Lo) {
+    return static_cast<uint32_t>(
+        ((static_cast<uint64_t>(Hi) << 32) | Lo) >> (32 - Shift));
+  };
+  LimbBuffer VnBuf(N), UnBuf(M + 1);
+  uint32_t *Vn = VnBuf.data(), *Un = UnBuf.data();
+  for (size_t I = N - 1; I != 0; --I)
+    Vn[I] = ShiftedLimb(V[I], V[I - 1]);
+  Vn[0] = V[0] << Shift;
+  Un[M] = ShiftedLimb(0, U[M - 1]);
+  for (size_t I = M - 1; I != 0; --I)
+    Un[I] = ShiftedLimb(U[I], U[I - 1]);
+  Un[0] = U[0] << Shift;
 
-BigInt BigInt::abs() const {
-  BigInt Result = *this;
-  if (Result.Sign < 0)
-    Result.Sign = 1;
-  return Result;
+  for (size_t J = M - N + 1; J-- > 0;) {
+    uint64_t Top = (static_cast<uint64_t>(Un[J + N]) << 32) | Un[J + N - 1];
+    uint64_t QHat = Top / Vn[N - 1], RHat = Top % Vn[N - 1];
+    while (QHat >= Base ||
+           QHat * Vn[N - 2] > ((RHat << 32) | Un[J + N - 2])) {
+      --QHat;
+      RHat += Vn[N - 1];
+      if (RHat >= Base)
+        break;
+    }
+    // Un[J .. J+N] -= QHat * Vn, tracking the borrow as a signed word.
+    int64_t Borrow = 0, Cur = 0;
+    for (size_t I = 0; I != N; ++I) {
+      uint64_t P = QHat * Vn[I];
+      Cur = static_cast<int64_t>(Un[I + J]) - Borrow -
+            static_cast<int64_t>(P & 0xffffffffu);
+      Un[I + J] = static_cast<uint32_t>(Cur);
+      Borrow = static_cast<int64_t>(P >> 32) - (Cur >> 32);
+    }
+    Cur = static_cast<int64_t>(Un[J + N]) - Borrow;
+    Un[J + N] = static_cast<uint32_t>(Cur);
+    if (Cur < 0) {
+      // QHat was one too large: add the divisor back once.
+      --QHat;
+      uint64_t Carry = 0;
+      for (size_t I = 0; I != N; ++I) {
+        Carry += static_cast<uint64_t>(Un[I + J]) + Vn[I];
+        Un[I + J] = static_cast<uint32_t>(Carry);
+        Carry >>= 32;
+      }
+      Un[J + N] += static_cast<uint32_t>(Carry);
+    }
+    Q[J] = static_cast<uint32_t>(QHat);
+  }
+  // Unnormalize the remainder in place.
+  for (size_t I = 0; I != N; ++I)
+    Un[I] = static_cast<uint32_t>(
+        ((static_cast<uint64_t>(Un[I + 1]) << 32) | Un[I]) >> Shift);
+  BigInt R = fromLimbs(Num.Sign, Un, N);
+  Quot = fromLimbs(QuotSign, Q, M - N + 1);
+  Rem = std::move(R);
 }
 
 BigInt BigInt::gcd(BigInt A, BigInt B) {
-  A = A.abs();
-  B = B.abs();
-  while (!B.isZero()) {
-    // Once both magnitudes fit in machine words, finish with a native
-    // Euclid loop: the arbitrary-precision remainders below would
-    // otherwise allocate a vector per step.
-    uint64_t SmallA, SmallB;
-    if (magToUint64(A.Limbs, SmallA) && magToUint64(B.Limbs, SmallB)) {
-      while (SmallB != 0) {
-        uint64_t Rem = SmallA % SmallB;
-        SmallA = SmallB;
-        SmallB = Rem;
-      }
-      uint64ToMag(SmallA, A.Limbs);
-      A.Sign = A.Limbs.empty() ? 0 : 1;
-      return A;
-    }
-    BigInt Rem = A % B;
-    A = B;
-    B = Rem;
+  // Euclid on limbs until both magnitudes fit in a word.
+  while (A.Len != 0 || B.Len != 0) {
+    if (B.isZero())
+      return A.abs();
+    A = A % B;
+    std::swap(A, B);
   }
-  return A;
+  // Binary gcd on the words.
+  uint64_t X = A.Small, Y = B.Small;
+  if (X == 0 || Y == 0)
+    return inlineValue(1, X | Y);
+  int Shift = std::countr_zero(X | Y);
+  X >>= std::countr_zero(X);
+  do {
+    Y >>= std::countr_zero(Y);
+    if (X > Y)
+      std::swap(X, Y);
+    Y -= X;
+  } while (Y != 0);
+  return inlineValue(1, X << Shift);
 }
 
 size_t BigInt::hash() const {
+  uint32_t Buf[2];
   size_t Result = static_cast<size_t>(Sign + 1);
-  for (uint32_t Limb : Limbs)
+  for (uint32_t Limb : limbs(Buf))
     Result = Result * 1000003u + Limb;
   return Result;
-}
-
-int BigInt::compareMagnitude(const std::vector<uint32_t> &A,
-                             const std::vector<uint32_t> &B) {
-  if (A.size() != B.size())
-    return A.size() < B.size() ? -1 : 1;
-  for (size_t I = A.size(); I-- > 0;)
-    if (A[I] != B[I])
-      return A[I] < B[I] ? -1 : 1;
-  return 0;
-}
-
-std::vector<uint32_t> BigInt::addMagnitude(const std::vector<uint32_t> &A,
-                                           const std::vector<uint32_t> &B) {
-  uint64_t SmallA, SmallB;
-  if (magToUint64(A, SmallA) && magToUint64(B, SmallB)) {
-    uint64_t Sum = SmallA + SmallB;
-    if (Sum >= SmallA) // no carry out of 64 bits
-      return magFromUint64(Sum);
-  }
-  std::vector<uint32_t> Result;
-  Result.reserve(std::max(A.size(), B.size()) + 1);
-  uint64_t Carry = 0;
-  for (size_t I = 0, E = std::max(A.size(), B.size()); I != E; ++I) {
-    uint64_t Sum = Carry;
-    if (I < A.size())
-      Sum += A[I];
-    if (I < B.size())
-      Sum += B[I];
-    Result.push_back(static_cast<uint32_t>(Sum & 0xffffffffu));
-    Carry = Sum >> 32;
-  }
-  if (Carry != 0)
-    Result.push_back(static_cast<uint32_t>(Carry));
-  return Result;
-}
-
-std::vector<uint32_t> BigInt::subMagnitude(const std::vector<uint32_t> &A,
-                                           const std::vector<uint32_t> &B) {
-  assert(compareMagnitude(A, B) >= 0 && "subtraction would underflow");
-  uint64_t SmallA, SmallB;
-  if (magToUint64(A, SmallA) && magToUint64(B, SmallB))
-    return magFromUint64(SmallA - SmallB);
-  std::vector<uint32_t> Result;
-  Result.reserve(A.size());
-  int64_t Borrow = 0;
-  for (size_t I = 0; I != A.size(); ++I) {
-    int64_t Diff = static_cast<int64_t>(A[I]) - Borrow;
-    if (I < B.size())
-      Diff -= static_cast<int64_t>(B[I]);
-    if (Diff < 0) {
-      Diff += static_cast<int64_t>(1) << 32;
-      Borrow = 1;
-    } else {
-      Borrow = 0;
-    }
-    Result.push_back(static_cast<uint32_t>(Diff));
-  }
-  trim(Result);
-  return Result;
-}
-
-std::vector<uint32_t> BigInt::mulMagnitude(const std::vector<uint32_t> &A,
-                                           const std::vector<uint32_t> &B) {
-  uint64_t SmallA, SmallB;
-  if (magToUint64(A, SmallA) && magToUint64(B, SmallB)) {
-    unsigned __int128 Product =
-        static_cast<unsigned __int128>(SmallA) * SmallB;
-    uint64_t Hi = static_cast<uint64_t>(Product >> 64);
-    uint64_t Lo = static_cast<uint64_t>(Product);
-    if (Hi == 0)
-      return magFromUint64(Lo);
-    std::vector<uint32_t> Wide = magFromUint64(Lo);
-    Wide.resize(2, 0);
-    Wide.push_back(static_cast<uint32_t>(Hi & 0xffffffffu));
-    if (Hi >> 32)
-      Wide.push_back(static_cast<uint32_t>(Hi >> 32));
-    return Wide;
-  }
-  std::vector<uint32_t> Result(A.size() + B.size(), 0);
-  for (size_t I = 0; I != A.size(); ++I) {
-    uint64_t Carry = 0;
-    for (size_t J = 0; J != B.size(); ++J) {
-      uint64_t Cur = static_cast<uint64_t>(A[I]) * B[J] + Result[I + J] + Carry;
-      Result[I + J] = static_cast<uint32_t>(Cur & 0xffffffffu);
-      Carry = Cur >> 32;
-    }
-    size_t K = I + B.size();
-    while (Carry != 0) {
-      uint64_t Cur = Result[K] + Carry;
-      Result[K] = static_cast<uint32_t>(Cur & 0xffffffffu);
-      Carry = Cur >> 32;
-      ++K;
-    }
-  }
-  trim(Result);
-  return Result;
-}
-
-void BigInt::divModMagnitude(const std::vector<uint32_t> &A,
-                             const std::vector<uint32_t> &B,
-                             std::vector<uint32_t> &Quot,
-                             std::vector<uint32_t> &Rem) {
-  assert(!B.empty() && "division by zero magnitude");
-  Quot.clear();
-  Rem.clear();
-  if (compareMagnitude(A, B) < 0) {
-    Rem = A;
-    trim(Rem);
-    return;
-  }
-  // Machine-word fast path: both operands fit in 64 bits.
-  uint64_t SmallA, SmallB;
-  if (magToUint64(A, SmallA) && magToUint64(B, SmallB)) {
-    uint64ToMag(SmallA / SmallB, Quot);
-    uint64ToMag(SmallA % SmallB, Rem);
-    return;
-  }
-  // Single-limb divisor: one pass of schoolbook short division.
-  if (B.size() == 1) {
-    uint64_t Divisor = B[0];
-    Quot.assign(A.size(), 0);
-    uint64_t Carry = 0;
-    for (size_t I = A.size(); I-- > 0;) {
-      uint64_t Cur = (Carry << 32) | A[I];
-      Quot[I] = static_cast<uint32_t>(Cur / Divisor);
-      Carry = Cur % Divisor;
-    }
-    trim(Quot);
-    uint64ToMag(Carry, Rem);
-    return;
-  }
-  // Bit-by-bit long division: simple and obviously correct; the magnitudes
-  // in this library stay small enough that the O(bits * limbs) cost is
-  // irrelevant next to the polyhedral algorithms above it.
-  size_t TotalBits = A.size() * 32;
-  Quot.assign(A.size(), 0);
-  for (size_t BitIdx = TotalBits; BitIdx-- > 0;) {
-    // Rem = Rem << 1 | bit(A, BitIdx)
-    uint32_t Carry = (A[BitIdx / 32] >> (BitIdx % 32)) & 1u;
-    for (size_t I = 0; I != Rem.size(); ++I) {
-      uint32_t Next = Rem[I] >> 31;
-      Rem[I] = (Rem[I] << 1) | Carry;
-      Carry = Next;
-    }
-    if (Carry != 0)
-      Rem.push_back(Carry);
-    if (compareMagnitude(Rem, B) >= 0) {
-      Rem = subMagnitude(Rem, B);
-      Quot[BitIdx / 32] |= 1u << (BitIdx % 32);
-    }
-  }
-  trim(Quot);
-  trim(Rem);
-}
-
-void BigInt::trim(std::vector<uint32_t> &Limbs) {
-  while (!Limbs.empty() && Limbs.back() == 0)
-    Limbs.pop_back();
-}
-
-void BigInt::canonicalize() {
-  trim(Limbs);
-  if (Limbs.empty())
-    Sign = 0;
 }
