@@ -7,8 +7,8 @@
 // Measures the rebuilt parametric solver: per paper program, the analysis
 // wall time at several thread counts together with the solver's work
 // counters (min-cut solves, point-cache and cut-signature hit rates, and
-// the int64 fast-path share), plus a synthetic layered-network sweep
-// comparing the checked int64 max-flow against the BigInt solver.
+// the machine-tier share), plus a synthetic layered-network sweep
+// comparing the checked __int128 max-flow against the BigInt solver.
 //
 // Emits BENCH_analysis.json (override with --out FILE); --quick shrinks
 // the sweeps for CI.
@@ -149,15 +149,15 @@ int main(int argc, char **argv) {
   }
   std::fprintf(Out, "\n  ],\n");
 
-  // Synthetic layered networks: checked-int64 Dinic vs the BigInt solver
+  // Synthetic layered networks: checked-__int128 Dinic vs the BigInt solver
   // on identical instances.
   std::vector<std::pair<unsigned, unsigned>> Sizes =
       Quick ? std::vector<std::pair<unsigned, unsigned>>{{4, 8}, {8, 12}}
             : std::vector<std::pair<unsigned, unsigned>>{
                   {4, 8}, {8, 12}, {12, 16}, {16, 24}};
   unsigned Reps = Quick ? 3 : 10;
-  std::printf("\n== Min-cut solver: int64 fast path vs BigInt ==\n\n");
-  std::printf("%6s %6s %12s %12s %8s\n", "nodes", "arcs", "int64_ms",
+  std::printf("\n== Min-cut solver: int128 machine tier vs BigInt ==\n\n");
+  std::printf("%6s %6s %12s %12s %8s\n", "nodes", "arcs", "int128_ms",
               "bigint_ms", "ratio");
   std::fprintf(Out, "  \"mincut_scaling\": [\n");
   bool FirstSize = true;
@@ -187,7 +187,7 @@ int main(int argc, char **argv) {
                 FastMs > 0 ? BigMs / FastMs : 0.0);
     std::fprintf(Out,
                  "%s    {\"nodes\": %u, \"arcs\": %zu, "
-                 "\"int64_ms\": %.4f, \"bigint_ms\": %.4f}",
+                 "\"int128_ms\": %.4f, \"bigint_ms\": %.4f}",
                  FirstSize ? "" : ",\n", Net.numNodes(), Net.arcs().size(),
                  FastMs, BigMs);
     FirstSize = false;

@@ -6,13 +6,15 @@
 //
 // google-benchmark microbenchmarks for the substrates the analysis is
 // built on: exact big-integer arithmetic, the double-description
-// conversion, the exact min-cut solver, the end-to-end compilation of a
-// small program, and the interpreter's instruction throughput.
+// conversion, the exact min-cut solver (one-shot and reused per slice),
+// the end-to-end compilation of a small program, and the interpreter's
+// instruction throughput.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/DispatchIndex.h"
 #include "interp/Interp.h"
+#include "netflow/MinCutKernel.h"
 #include "poly/Polyhedron.h"
 #include "programs/Programs.h"
 
@@ -131,6 +133,58 @@ void BM_MinCutGrid(benchmark::State &State) {
     benchmark::DoNotOptimize(solveMinCut(Net, Point).CutArcs.size());
 }
 BENCHMARK(BM_MinCutGrid)->Arg(8)->Arg(16);
+
+/// encode's solved network and the vertices of its choices' regions, as
+/// full parameter points: the solves region certification makes.
+struct SliceSolves {
+  std::shared_ptr<CompiledProgram> CP;
+  std::vector<std::vector<Rational>> Points;
+};
+
+const SliceSolves &encodeSliceSolves() {
+  static SliceSolves S = [] {
+    SliceSolves Out;
+    std::string Diags;
+    Out.CP = compileForOffloading(programs::programByName("encode").Source,
+                                  CostModel::defaults(), {}, &Diags);
+    if (!Out.CP) {
+      std::fprintf(stderr, "encode failed to compile:\n%s", Diags.c_str());
+      std::exit(1);
+    }
+    const ParametricResult &R = Out.CP->Partition;
+    MinCutKernel Kernel(R.Solved.Net);
+    for (const PartitionChoice &C : R.Choices)
+      for (const std::vector<Rational> &V : C.Region.generators().Vertices) {
+        std::vector<Rational> Full(Out.CP->Space.size());
+        for (unsigned Id = 0; Id != Full.size(); ++Id)
+          Full[Id] = Rational(Out.CP->Space.lower(Id));
+        for (unsigned K = 0; K != V.size(); ++K)
+          Full[R.EffectiveDims[K]] = V[K];
+        if (Kernel.solve(Full)) // skip relaxation corners
+          Out.Points.push_back(std::move(Full));
+      }
+    return Out;
+  }();
+  return S;
+}
+
+void BM_SliceMinCut(benchmark::State &State) {
+  // Arg 0: one kernel compiled up front and reused, as a slice does.
+  // Arg 1: a one-shot solveMinCutStructure per point.
+  const SliceSolves &S = encodeSliceSolves();
+  const FlowNetwork &Net = S.CP->Partition.Solved.Net;
+  MinCutKernel Kernel(Net);
+  size_t I = 0;
+  for (auto _ : State) {
+    const std::vector<Rational> &P = S.Points[I++ % S.Points.size()];
+    if (State.range(0) == 0)
+      benchmark::DoNotOptimize(Kernel.solve(P)->CutArcs.size());
+    else
+      benchmark::DoNotOptimize(solveMinCutStructure(Net, P).CutArcs.size());
+  }
+  State.counters["points"] = static_cast<double>(S.Points.size());
+}
+BENCHMARK(BM_SliceMinCut)->Arg(0)->Arg(1);
 
 const char *kSmallProgram = R"MINIC(
 param int n in [1, 1024];

@@ -1325,13 +1325,16 @@ bool Machine::execArith(const Instr &I) {
   bool IsDouble = I.Ty == TypeKind::Double;
   switch (I.Op) {
   case Opcode::Add:
-    Out = IsDouble ? Value::ofDouble(A.D + B.D) : Value::ofInt(A.I + B.I);
+    Out = IsDouble ? Value::ofDouble(A.D + B.D)
+                   : Value::ofInt(wrapAdd(A.I, B.I));
     break;
   case Opcode::Sub:
-    Out = IsDouble ? Value::ofDouble(A.D - B.D) : Value::ofInt(A.I - B.I);
+    Out = IsDouble ? Value::ofDouble(A.D - B.D)
+                   : Value::ofInt(wrapSub(A.I, B.I));
     break;
   case Opcode::Mul:
-    Out = IsDouble ? Value::ofDouble(A.D * B.D) : Value::ofInt(A.I * B.I);
+    Out = IsDouble ? Value::ofDouble(A.D * B.D)
+                   : Value::ofInt(wrapMul(A.I, B.I));
     break;
   case Opcode::Div:
     if (IsDouble) {
@@ -1339,12 +1342,16 @@ bool Machine::execArith(const Instr &I) {
     } else {
       if (B.I == 0)
         return fail("integer division by zero");
+      if (B.I == -1 && A.I == INT64_MIN)
+        return fail("integer division overflow");
       Out = Value::ofInt(A.I / B.I);
     }
     break;
   case Opcode::Rem:
     if (B.I == 0)
       return fail("integer remainder by zero");
+    if (B.I == -1 && A.I == INT64_MIN)
+      return fail("integer remainder overflow");
     Out = Value::ofInt(A.I % B.I);
     break;
   case Opcode::And: Out = Value::ofInt(A.I & B.I); break;
@@ -1415,7 +1422,7 @@ bool Machine::execInstr(const Instr &I) {
       return false;
     return writeLocal(I.Dst, I.Ty == TypeKind::Double
                                  ? Value::ofDouble(-A.D)
-                                 : Value::ofInt(-A.I));
+                                 : Value::ofInt(wrapNeg(A.I)));
   }
   case Opcode::Not: {
     Value A;

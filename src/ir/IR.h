@@ -37,6 +37,26 @@ namespace paco {
 /// Sentinel for "no variable / no target".
 inline constexpr unsigned KNone = ~0u;
 
+/// MiniC int arithmetic wraps in two's complement. The interpreter and
+/// constant folding both compute through these, so a folded program
+/// computes exactly what the unfolded one would, and neither relies on
+/// signed overflow (undefined behaviour in C++).
+inline int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapNeg(int64_t A) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
+}
+
 enum class Opcode : uint8_t {
   // Moves and conversions.
   Copy,

@@ -6,23 +6,9 @@
 
 #include "netflow/FlowNetwork.h"
 
-#include "obs/Stats.h"
-
 #include <algorithm>
-#include <limits>
 
 using namespace paco;
-
-namespace {
-// Registered at static-init time (single-threaded) so the registry's
-// registration order -- and therefore snapshot emission order -- stays
-// deterministic even though first solves race across pool threads.
-obs::Counter &Solves = obs::StatsRegistry::global().counter("netflow.solves");
-obs::Counter &FastSolves =
-    obs::StatsRegistry::global().counter("netflow.fast_path_solves");
-obs::Counter &BigSolves =
-    obs::StatsRegistry::global().counter("netflow.bigint_solves");
-} // namespace
 
 void Capacity::accumulate(const Capacity &Other) {
   if (Other.Infinite)
@@ -63,236 +49,6 @@ std::string FlowNetwork::dump(const ParamSpace &Space) const {
     Result += A.Cap.Infinite ? "inf" : A.Cap.Expr.toString(Space);
     Result += "]\n";
   }
-  return Result;
-}
-
-namespace {
-
-/// Residual edge for the Dinic solver; CapT is BigInt (exact path) or
-/// int64_t (machine-arithmetic fast path).
-template <typename CapT> struct ResidualEdge {
-  unsigned To;
-  CapT Cap;
-  unsigned Rev; ///< Index of the reverse edge in Adj[To].
-};
-
-/// Capacity-type policy: how each solver represents the "unbounded"
-/// augmentation limit. int64_t uses INT64_MAX, which exceeds every
-/// residual capacity on the fast path, so min() leaves it intact exactly
-/// like the BigInt -1 sentinel.
-template <typename CapT> struct CapOps;
-
-template <> struct CapOps<BigInt> {
-  static BigInt unbounded() { return BigInt(-1); }
-  static bool isUnbounded(const BigInt &C) { return C.isNegative(); }
-  static bool isZero(const BigInt &C) { return C.isZero(); }
-};
-
-template <> struct CapOps<int64_t> {
-  static int64_t unbounded() { return std::numeric_limits<int64_t>::max(); }
-  static bool isUnbounded(int64_t C) { return C == unbounded(); }
-  static bool isZero(int64_t C) { return C == 0; }
-};
-
-/// Dinic max-flow over exact integer capacities. The solver is reusable:
-/// reset() keeps the adjacency, level, iterator and queue buffers alive so
-/// repeated solves (one per sample point of the parametric algorithm) stop
-/// paying allocation costs.
-template <typename CapT> class DinicSolver {
-public:
-  void reset(unsigned NumNodes) {
-    if (Adj.size() < NumNodes)
-      Adj.resize(NumNodes);
-    for (unsigned I = 0; I != NumNodes; ++I)
-      Adj[I].clear();
-    N = NumNodes;
-    Level.assign(NumNodes, -1);
-    Iter.assign(NumNodes, 0);
-    Queue.clear();
-    Queue.reserve(NumNodes);
-  }
-
-  void addEdge(unsigned From, unsigned To, CapT Cap) {
-    Adj[From].push_back(
-        {To, std::move(Cap), static_cast<unsigned>(Adj[To].size())});
-    Adj[To].push_back(
-        {From, CapT(0), static_cast<unsigned>(Adj[From].size()) - 1});
-  }
-
-  void run(unsigned Source, unsigned Sink) {
-    while (bfs(Source, Sink)) {
-      std::fill(Iter.begin(), Iter.end(), 0u);
-      while (true) {
-        CapT Pushed = dfs(Source, Sink, CapOps<CapT>::unbounded());
-        if (CapOps<CapT>::isZero(Pushed))
-          break;
-      }
-    }
-  }
-
-  /// Nodes reachable from \p Source in the residual graph.
-  std::vector<bool> residualReachable(unsigned Source) {
-    std::vector<bool> Seen(N, false);
-    Queue.clear();
-    Seen[Source] = true;
-    Queue.push_back(Source);
-    for (size_t Head = 0; Head != Queue.size(); ++Head) {
-      for (const ResidualEdge<CapT> &E : Adj[Queue[Head]]) {
-        if (CapOps<CapT>::isZero(E.Cap) || Seen[E.To])
-          continue;
-        Seen[E.To] = true;
-        Queue.push_back(E.To);
-      }
-    }
-    return Seen;
-  }
-
-private:
-  bool bfs(unsigned Source, unsigned Sink) {
-    std::fill(Level.begin(), Level.end(), -1);
-    Queue.clear();
-    Level[Source] = 0;
-    Queue.push_back(Source);
-    for (size_t Head = 0; Head != Queue.size(); ++Head) {
-      unsigned Node = Queue[Head];
-      for (const ResidualEdge<CapT> &E : Adj[Node]) {
-        if (CapOps<CapT>::isZero(E.Cap) || Level[E.To] >= 0)
-          continue;
-        Level[E.To] = Level[Node] + 1;
-        Queue.push_back(E.To);
-      }
-    }
-    return Level[Sink] >= 0;
-  }
-
-  /// Pushes a blocking-flow augmenting path.
-  CapT dfs(unsigned Node, unsigned Sink, CapT Limit) {
-    if (Node == Sink)
-      return Limit;
-    for (unsigned &I = Iter[Node]; I < Adj[Node].size(); ++I) {
-      ResidualEdge<CapT> &E = Adj[Node][I];
-      if (CapOps<CapT>::isZero(E.Cap) || Level[E.To] != Level[Node] + 1)
-        continue;
-      CapT NextLimit = E.Cap;
-      if (!CapOps<CapT>::isUnbounded(Limit) && Limit < NextLimit)
-        NextLimit = Limit;
-      CapT Pushed = dfs(E.To, Sink, NextLimit);
-      if (CapOps<CapT>::isZero(Pushed))
-        continue;
-      E.Cap -= Pushed;
-      Adj[E.To][E.Rev].Cap += Pushed;
-      return Pushed;
-    }
-    return CapT(0);
-  }
-
-  unsigned N = 0;
-  std::vector<std::vector<ResidualEdge<CapT>>> Adj;
-  std::vector<int> Level;
-  std::vector<unsigned> Iter;
-  std::vector<unsigned> Queue;
-};
-
-/// Per-thread scratch: both solvers plus the capacity-evaluation buffers
-/// survive across solveMinCutStructure calls.
-struct SolverWorkspace {
-  DinicSolver<int64_t> Small;
-  DinicSolver<BigInt> Big;
-  std::vector<Rational> Values;
-  std::vector<BigInt> IntCaps;
-};
-
-SolverWorkspace &workspace() {
-  thread_local SolverWorkspace WS;
-  return WS;
-}
-
-} // namespace
-
-CutStructure paco::solveMinCutStructure(const FlowNetwork &Net,
-                                        const std::vector<Rational> &Point,
-                                        bool ForceBigInt) {
-  // Evaluate finite capacities and clear denominators so the solver works
-  // on exact integers.
-  const std::vector<Arc> &Arcs = Net.arcs();
-  SolverWorkspace &WS = workspace();
-  std::vector<Rational> &Values = WS.Values;
-  Values.assign(Arcs.size(), Rational());
-  BigInt Lcm(1);
-  for (unsigned I = 0; I != Arcs.size(); ++I) {
-    if (Arcs[I].Cap.Infinite)
-      continue;
-    Values[I] = Arcs[I].Cap.Expr.evaluate(Point);
-    assert(!Values[I].isNegative() && "negative capacity at sample point");
-    const BigInt &Den = Values[I].denominator();
-    Lcm = Lcm / BigInt::gcd(Lcm, Den) * Den;
-  }
-  BigInt FiniteTotal(0);
-  std::vector<BigInt> &IntCaps = WS.IntCaps;
-  IntCaps.assign(Arcs.size(), BigInt());
-  for (unsigned I = 0; I != Arcs.size(); ++I) {
-    if (Arcs[I].Cap.Infinite)
-      continue;
-    IntCaps[I] = Values[I].numerator() * (Lcm / Values[I].denominator());
-    FiniteTotal += IntCaps[I];
-  }
-  // Any value strictly above the sum of all finite capacities acts as
-  // infinity: a minimum cut uses such an arc only if no finite cut exists.
-  BigInt Huge = FiniteTotal + BigInt(1);
-
-  // The fast path is sound whenever no intermediate value can overflow:
-  // every residual capacity stays below twice the largest edge capacity,
-  // and each edge capacity is at most Huge = FiniteTotal + 1, so
-  // FiniteTotal <= INT64_MAX / 4 bounds everything by INT64_MAX / 2.
-  bool FastPath =
-      !ForceBigInt && FiniteTotal.fitsInt64() &&
-      FiniteTotal.toInt64() <= std::numeric_limits<int64_t>::max() / 4;
-
-  Solves.add();
-  (FastPath ? FastSolves : BigSolves).add();
-
-  CutStructure Result;
-  if (FastPath) {
-    DinicSolver<int64_t> &Solver = WS.Small;
-    Solver.reset(Net.numNodes());
-    int64_t SmallHuge = FiniteTotal.toInt64() + 1;
-    for (unsigned I = 0; I != Arcs.size(); ++I)
-      Solver.addEdge(Arcs[I].From, Arcs[I].To,
-                     Arcs[I].Cap.Infinite ? SmallHuge : IntCaps[I].toInt64());
-    Solver.run(Net.source(), Net.sink());
-    Result.SourceSide = Solver.residualReachable(Net.source());
-    Result.UsedFastPath = true;
-  } else {
-    DinicSolver<BigInt> &Solver = WS.Big;
-    Solver.reset(Net.numNodes());
-    for (unsigned I = 0; I != Arcs.size(); ++I)
-      Solver.addEdge(Arcs[I].From, Arcs[I].To,
-                     Arcs[I].Cap.Infinite ? Huge : IntCaps[I]);
-    Solver.run(Net.source(), Net.sink());
-    Result.SourceSide = Solver.residualReachable(Net.source());
-  }
-  assert(!Result.SourceSide[Net.sink()] && "sink reachable after max flow");
-  for (unsigned I = 0; I != Arcs.size(); ++I) {
-    if (!Result.SourceSide[Arcs[I].From] || Result.SourceSide[Arcs[I].To])
-      continue;
-    Result.CutArcs.push_back(I);
-    if (Arcs[I].Cap.Infinite)
-      Result.Finite = false;
-  }
-  return Result;
-}
-
-CutResult paco::solveMinCut(const FlowNetwork &Net,
-                            const std::vector<Rational> &Point) {
-  CutStructure S = solveMinCutStructure(Net, Point);
-  CutResult Result;
-  Result.SourceSide = std::move(S.SourceSide);
-  Result.CutArcs = std::move(S.CutArcs);
-  Result.Finite = S.Finite;
-  const std::vector<Arc> &Arcs = Net.arcs();
-  for (unsigned I : Result.CutArcs)
-    if (!Arcs[I].Cap.Infinite)
-      Result.Value += Arcs[I].Cap.Expr;
   return Result;
 }
 

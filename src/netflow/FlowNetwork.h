@@ -116,19 +116,20 @@ struct CutStructure {
   std::vector<bool> SourceSide;
   std::vector<unsigned> CutArcs;
   bool Finite = true;
-  /// True if the checked int64 solver produced this cut; false when the
-  /// capacities forced (or the caller requested) the BigInt solver.
+  /// True if the machine (checked __int128) tier produced this cut; false
+  /// when the capacities forced (or the caller requested) the BigInt tier.
   bool UsedFastPath = false;
 };
 
 /// Computes a minimum s-t cut of \p Net with capacities evaluated at
-/// \p Point, returning only the cut structure. When every capacity (and
-/// every intermediate residual value, bounded by the finite-capacity
-/// total) fits comfortably in int64_t, the augmentation runs entirely in
+/// \p Point, returning only the cut structure. A one-shot MinCutKernel
+/// (netflow/MinCutKernel.h): when every capacity and every intermediate
+/// residual value fits comfortably in __int128, the augmentation runs in
 /// machine arithmetic; otherwise -- or when \p ForceBigInt is set -- it
-/// falls back to exact BigInt arithmetic. Both paths return the identical
+/// falls back to exact BigInt arithmetic. Both tiers return the identical
 /// canonical minimal source side (the residual-reachable set is unique
-/// across all maximum flows).
+/// across all maximum flows). Callers that solve one network at many
+/// points should keep a MinCutKernel instead.
 CutStructure solveMinCutStructure(const FlowNetwork &Net,
                                   const std::vector<Rational> &Point,
                                   bool ForceBigInt = false);

@@ -6,12 +6,14 @@
 
 #include "partition/Parametric.h"
 
+#include "netflow/MinCutKernel.h"
 #include "obs/Trace.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <memory>
 #include <set>
 
 using namespace paco;
@@ -236,6 +238,8 @@ struct SliceState {
   std::map<ParamId, int64_t> FlagVals;
   FlowNetwork SubNet;
   std::optional<DimMapper> Mapper;
+  /// SubNet compiled for repeated solves; lives while the slice solves.
+  std::unique_ptr<MinCutKernel> Kernel;
 
   // Outputs, merged into the ParametricResult in case order.
   std::vector<PartitionChoice> Choices;
@@ -288,44 +292,13 @@ struct SliceState {
       ++PointCacheHits;
       return *It->second;
     }
-    CutStructure St =
-        solveMinCutStructure(SubNet, Mapper->fullPoint(EffPoint, Space));
-    CutResult *Cut = internStructure(std::move(St)).first;
+    std::optional<CutStructure> St =
+        Kernel->solve(Mapper->fullPoint(EffPoint, Space));
+    assert(St && "negative capacity inside the certified domain");
+    CutResult *Cut = internStructure(std::move(*St)).first;
     assert(Cut->Finite && "no finite cut: every program can run locally");
     PointCache.emplace(std::move(Key), Cut);
     return *Cut;
-  }
-
-  /// Solves every not-yet-cached vertex of a certification round through
-  /// the pool, so the subsequent in-order scan only reads the cache. The
-  /// set of solved points depends only on the cache state, never on the
-  /// thread count, which keeps results and counters deterministic.
-  void presolveVertices(const std::vector<std::vector<Rational>> &Vertices,
-                        const ParamSpace &Space, ThreadPool &Pool) {
-    std::vector<std::string> Keys;
-    std::vector<const std::vector<Rational> *> Missing;
-    for (const std::vector<Rational> &V : Vertices) {
-      std::string Key = pointKey(V);
-      if (PointCache.count(Key))
-        continue;
-      Keys.push_back(std::move(Key));
-      Missing.push_back(&V);
-    }
-    if (Missing.size() < 2)
-      return; // nothing to overlap; the scan solves it inline
-    std::vector<std::vector<Rational>> FullPts(Missing.size());
-    for (size_t J = 0; J != Missing.size(); ++J)
-      FullPts[J] = Mapper->fullPoint(*Missing[J], Space);
-    std::vector<CutStructure> Structs(Missing.size());
-    Pool.parallelFor(Missing.size(), [&](size_t J) {
-      Structs[J] = solveMinCutStructure(SubNet, FullPts[J]);
-    });
-    // Serial, in vertex order: cache layout stays deterministic.
-    for (size_t J = 0; J != Missing.size(); ++J) {
-      CutResult *Cut = internStructure(std::move(Structs[J])).first;
-      assert(Cut->Finite && "no finite cut: every program can run locally");
-      PointCache.emplace(std::move(Keys[J]), Cut);
-    }
   }
 };
 
@@ -512,10 +485,12 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
     SliceSpan.arg("arcs", S.SubNet.numArcs());
     const DimMapper &Mapper = *S.Mapper;
     const std::map<ParamId, int64_t> &FlagVals = S.FlagVals;
+    S.Kernel = std::make_unique<MinCutKernel>(S.SubNet);
 
     // Lifts a slice-local cut into a global PartitionChoice.
     auto emitChoice = [&](const CutResult &Cut, const Polyhedron &Region,
                           bool SimplifyRegion) {
+      obs::ScopedSpan EmitSpan("partition.emit", "partition");
       Polyhedron Lifted(GlobalMapper.dim());
       Polyhedron Simplified =
           SimplifyRegion ? Region.simplified() : Region;
@@ -593,13 +568,13 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
         return Seed;
       };
       std::vector<const CutResult *> Cuts;
-      auto tryPoint = [&](std::vector<Rational> Full) {
-        // Reject points with negative capacities (relaxation corners).
-        for (const Arc &A : S.SubNet.arcs())
-          if (!A.Cap.Infinite && A.Cap.Expr.evaluate(Full).isNegative())
-            return;
-        auto [Cut, Fresh] =
-            S.internStructure(solveMinCutStructure(S.SubNet, Full));
+      auto tryPoint = [&](const std::vector<Rational> &Full) {
+        // The kernel rejects points with negative capacities (relaxation
+        // corners).
+        std::optional<CutStructure> St = S.Kernel->solve(Full);
+        if (!St)
+          return;
+        auto [Cut, Fresh] = S.internStructure(std::move(*St));
         if (Fresh)
           Cuts.push_back(Cut);
       };
@@ -628,7 +603,7 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
           Full[Id] = Rational(Lo + Offset);
         }
         Space.extendPoint(Full);
-        tryPoint(std::move(Full));
+        tryPoint(Full);
       }
       for (const CutResult *Cut : Cuts) {
         Polyhedron Region = Mapper.box();
@@ -649,24 +624,24 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
              KnownCuts.end();
     };
 
-    std::deque<Polyhedron> Frontier;
-    Frontier.push_back(Mapper.box());
-
-    while (!Frontier.empty() && S.Choices.size() < Options.MaxChoices) {
-      Polyhedron Domain = std::move(Frontier.front());
-      Frontier.pop_front();
+    // Finds the cut at a sample of Domain and the region where it
+    // dominates every discovered cut, refined until the cut is optimal at
+    // each vertex (and hence everywhere: the min-cut value is concave
+    // piecewise-affine). Vertices are solved lazily in scan order, so the
+    // scan stops solving at the first vertex that violates optimality.
+    // std::nullopt when Domain holds no point or the region is empty.
+    auto certify = [&](const Polyhedron &Domain)
+        -> std::optional<std::pair<const CutResult *, Polyhedron>> {
+      obs::ScopedSpan CertifySpan("partition.certify", "partition");
       if (Domain.isEmpty())
-        continue;
+        return std::nullopt;
       std::optional<std::vector<Rational>> Sample = Domain.samplePoint();
       if (!Sample)
-        continue;
+        return std::nullopt;
       const CutResult &Cut = S.minCutAt(*Sample, Space);
       if (!isKnown(Cut))
         KnownCuts.push_back(&Cut);
 
-      // Region where this cut dominates every discovered cut, refined
-      // until it is optimal at each vertex (and hence everywhere: the
-      // min-cut value is concave piecewise-affine).
       Polyhedron Region = Mapper.box();
       for (const CutResult *Other : KnownCuts) {
         if (Other == &Cut)
@@ -681,7 +656,6 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
           S.VertexLimitHit = true;
           break;
         }
-        S.presolveVertices(Gens.Vertices, Space, Pool);
         for (const std::vector<Rational> &Vertex : Gens.Vertices) {
           const CutResult &AtVertex = S.minCutAt(Vertex, Space);
           std::vector<Rational> FullVertex =
@@ -698,12 +672,25 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
         }
       }
       if (Region.isEmpty())
-        continue;
+        return std::nullopt;
+      return std::make_pair(&Cut, std::move(Region));
+    };
 
-      emitChoice(Cut, Region, /*SimplifyRegion=*/true);
+    std::deque<Polyhedron> Frontier;
+    Frontier.push_back(Mapper.box());
+
+    while (!Frontier.empty() && S.Choices.size() < Options.MaxChoices) {
+      Polyhedron Domain = std::move(Frontier.front());
+      Frontier.pop_front();
+      auto Certified = certify(Domain);
+      if (!Certified)
+        continue;
+      const Polyhedron &Region = Certified->second;
+      emitChoice(*Certified->first, Region, /*SimplifyRegion=*/true);
 
       // Remove the certified region from the sampled domain and the rest
       // of the frontier.
+      obs::ScopedSpan SubtractSpan("partition.subtract", "partition");
       std::deque<Polyhedron> NextFrontier;
       auto pushRemainder = [&NextFrontier,
                             &Region](const Polyhedron &Piece) {
@@ -717,8 +704,11 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
     }
   };
 
-  Pool.parallelFor(Slices.size(),
-                   [&](size_t I) { solveSlice(Slices[I]); });
+  // Each slice's kernel is freed as soon as the slice is solved.
+  Pool.parallelFor(Slices.size(), [&](size_t I) {
+    solveSlice(Slices[I]);
+    Slices[I].Kernel.reset();
+  });
 
   // Merge slice results in case order: identical to the serial traversal
   // for every thread count. An exact slice obeys the global choice cap --

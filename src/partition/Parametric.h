@@ -54,9 +54,8 @@ struct ParametricOptions {
   unsigned MaxExactDims = 9;
   /// Number of random parameter samples per approximate slice.
   unsigned SampleBudget = 300;
-  /// Threads for the parallel solver: flag slices solve concurrently and
-  /// the vertices of each certification round are probed through the same
-  /// pool. 0 means hardware concurrency; 1 solves serially. The result is
+  /// Threads for the parallel solver: flag slices solve concurrently.
+  /// 0 means hardware concurrency; 1 solves serially. The result is
   /// bit-identical for every thread count (slices are independent, merged
   /// in slice order, and all shared state is read-only while solving).
   unsigned Threads = 0;
@@ -118,7 +117,7 @@ struct ParametricResult {
   /// Solved points whose cut matched an already-discovered source-side
   /// signature, so the cut value expression was reused, not rebuilt.
   unsigned CutSignatureHits = 0;
-  /// Flow solves that ran in checked int64 arithmetic / the BigInt
+  /// Flow solves that ran in checked __int128 arithmetic / the BigInt
   /// fallback.
   unsigned FastPathSolves = 0;
   unsigned BigIntSolves = 0;

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Telemetry gates: drive offload_explorer and validate what it writes.
 
-Three checks, each on its own explorer run in a scratch directory:
+Four checks on three explorer runs in a scratch directory:
 
   trace     fft with --trace: the Chrome trace is well-formed, has the
             pipeline spans, instant events and pid-2 simulated-run lanes.
+  audit     the same fft run's cost audit: valid, the components add up
+            to the cut value, the predicted total is within 1% of the
+            simulated one, and scheduling, communication and registration
+            are exact on a noiseless link.
   adapt     a frame pipeline under a bandwidth collapse with the closed
             loop: the trace has a redispatch lane event with its args and
             the cost audit records a re-dispatch predicted to pay off.
@@ -43,6 +47,22 @@ def check_trace():
     assert lanes, "no simulated-run lane events under pid 2"
     print(f"{len(events)} events, {len(phases)} distinct spans, "
           f"{len(lanes)} run lanes: OK")
+
+
+def check_audit():
+    with open("fft_audit.json") as f:
+        audit = json.load(f)
+    assert audit["valid"], audit.get("note")
+    assert audit["cut_matches_components"], \
+        "component decomposition does not reproduce the cut value"
+    total = audit["total"]
+    assert abs(total["rel_error_pct"]) <= 1.0, \
+        f"predicted vs simulated total off by {total['rel_error_pct']}%"
+    for name in ["scheduling", "communication", "registration"]:
+        comp = audit["components"][name]
+        assert comp["exact"], f"{name} not exact on a noiseless link"
+    print(f"total predicted {total['predicted']} vs actual "
+          f"{total['actual']} ({total['rel_error_pct']}%): OK")
 
 
 def check_adapt():
@@ -99,6 +119,7 @@ def main():
                 "--trace=fft_trace.json", "--audit=fft_audit.json",
                 "--stats")
         check_trace()
+        check_audit()
         explore(explorer, os.path.join(programs, "pipeline.mc"),
                 "--params", "16,32,1000", "--run", "--adapt=closed-loop",
                 "--drift=at=200000,comm=64", "--trace=adapt_trace.json",

@@ -203,6 +203,42 @@ TEST(InterpTest, DivisionByZeroFails) {
   EXPECT_NE(R.Error.find("division"), std::string::npos);
 }
 
+TEST(InterpTest, IntegerArithmeticWraps) {
+  // Run-time operands (not foldable constants), so the interpreter's own
+  // arithmetic wraps in two's complement.
+  auto CP = compileOk("void main() { int x = io_read(); int y = io_read();\n"
+                      "  io_write(x * 2); io_write(x * 4);\n"
+                      "  io_write(y * 3); io_write((x + x) - 1 + 2);\n"
+                      "  io_write(-(x * 2)); }");
+  const int64_t Y = 5178264917746469674;
+  ExecResult R = runClient(*CP, {}, {int64_t(1) << 62, Y});
+  ASSERT_EQ(R.Outputs.size(), 5u);
+  EXPECT_EQ(R.Outputs[0], static_cast<double>(INT64_MIN));
+  EXPECT_EQ(R.Outputs[1], 0.0);
+  EXPECT_EQ(R.Outputs[2],
+            static_cast<double>(static_cast<int64_t>(uint64_t(Y) * 3)));
+  EXPECT_EQ(R.Outputs[3], static_cast<double>(INT64_MIN + 1));
+  EXPECT_EQ(R.Outputs[4], static_cast<double>(INT64_MIN));
+}
+
+TEST(InterpTest, IntegerDivisionOverflowFails) {
+  auto CP = compileOk("void main() { int a = io_read(); int b = io_read();\n"
+                      "  io_write(a / b); }");
+  ExecOptions Opts;
+  Opts.Inputs = {INT64_MIN, -1};
+  ExecResult R = runProgram(*CP, Opts);
+  EXPECT_FALSE(R.OK);
+  EXPECT_NE(R.Error.find("integer division overflow"), std::string::npos)
+      << R.Error;
+
+  auto Rem = compileOk("void main() { int a = io_read(); int b = io_read();\n"
+                       "  io_write(a % b); }");
+  R = runProgram(*Rem, Opts);
+  EXPECT_FALSE(R.OK);
+  EXPECT_NE(R.Error.find("integer remainder overflow"), std::string::npos)
+      << R.Error;
+}
+
 TEST(InterpTest, OutOfBoundsFails) {
   auto CP = compileOk("int t[2];\n"
                       "void main() { int i = io_read(); t[i] = 1; }");

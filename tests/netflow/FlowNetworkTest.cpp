@@ -283,7 +283,7 @@ TEST(FlowNetworkTest, SimplifyPreservesMinCutOnPaperExample) {
 
 TEST(FlowNetworkTest, Int64FastPathMatchesBigIntSolver) {
   // The interior-cut diamond again: with ordinary capacities the checked
-  // int64 solver must run and produce the same cut as the BigInt solver.
+  // machine tier must run and produce the same cut as the BigInt solver.
   ParamSpace Space;
   FlowNetwork Net;
   NodeId A = Net.addNode("a"), B = Net.addNode("b");
@@ -304,11 +304,58 @@ TEST(FlowNetworkTest, Int64FastPathMatchesBigIntSolver) {
   EXPECT_EQ(Fast.CutArcs, Slow.CutArcs);
 }
 
+TEST(FlowNetworkTest, MachineTierHandlesCapacitiesPast64Bits) {
+  // The same diamond with every capacity scaled by x = 2^61: the finite
+  // total (12 * 2^61) is past INT64_MAX/4 but far inside the __int128
+  // machine tier's bound, which must run and agree with the BigInt tier.
+  ParamSpace Space;
+  ParamId X = Space.addParam("x", BigInt(1), BigInt(int64_t(1) << 62));
+  auto xCap = [&](int64_t Units) {
+    return Capacity::finite(LinExpr::param(X) * Rational(Units));
+  };
+  FlowNetwork Net;
+  NodeId A = Net.addNode("a"), B = Net.addNode("b");
+  Net.addArc(Net.source(), A, xCap(4));
+  Net.addArc(Net.source(), B, xCap(2));
+  Net.addArc(A, Net.sink(), xCap(2));
+  Net.addArc(B, Net.sink(), xCap(3));
+  Net.addArc(A, B, xCap(1));
+  std::vector<Rational> Point = {Rational(int64_t(1) << 61)};
+  CutStructure Fast = solveMinCutStructure(Net, Point);
+  CutStructure Slow = solveMinCutStructure(Net, Point, /*ForceBigInt=*/true);
+  EXPECT_TRUE(Fast.UsedFastPath);
+  EXPECT_FALSE(Slow.UsedFastPath);
+  EXPECT_TRUE(Fast.SourceSide[A]);
+  EXPECT_FALSE(Fast.SourceSide[B]);
+  EXPECT_EQ(Fast.SourceSide, Slow.SourceSide);
+  EXPECT_EQ(Fast.CutArcs, Slow.CutArcs);
+
+  // Coefficients of 2^60 at x = 2^62 keep every capacity (at most 2^124)
+  // and their sum inside __int128, but the total 3 * 2^124 is past the
+  // residual bound INT128_MAX/4: the BigInt tier must take over.
+  FlowNetwork Wide;
+  NodeId WA = Wide.addNode("a"), WB = Wide.addNode("b");
+  auto wideCap = [&](int64_t Units) {
+    return Capacity::finite(LinExpr::param(X) *
+                            Rational(Units * (int64_t(1) << 60)));
+  };
+  Wide.addArc(Wide.source(), WA, wideCap(4));
+  Wide.addArc(Wide.source(), WB, wideCap(2));
+  Wide.addArc(WA, Wide.sink(), wideCap(2));
+  Wide.addArc(WB, Wide.sink(), wideCap(3));
+  Wide.addArc(WA, WB, wideCap(1));
+  std::vector<Rational> WidePoint = {Rational(int64_t(1) << 62)};
+  CutStructure Bounded = solveMinCutStructure(Wide, WidePoint);
+  EXPECT_FALSE(Bounded.UsedFastPath);
+  EXPECT_EQ(Bounded.SourceSide, Fast.SourceSide);
+}
+
 TEST(FlowNetworkTest, HugeCapacitiesFallBackToBigInt) {
-  // Scale the same diamond by 2^61: the finite capacity total exceeds the
-  // int64 safety bound (INT64_MAX/4), so the solver must take the BigInt
-  // fallback and still find the scaled cut {s,a} of value 5 * 2^61.
-  BigInt Huge(int64_t(1) << 61);
+  // Scale the same diamond by 2^124: the finite capacity total exceeds the
+  // __int128 safety bound (INT128_MAX/4), so the solver must take the
+  // BigInt fallback and still find the scaled cut {s,a} of value
+  // 5 * 2^124.
+  BigInt Huge = BigInt(int64_t(1) << 62) * BigInt(int64_t(1) << 62);
   auto bigCap = [&](int64_t Units) {
     return Capacity::finite(LinExpr(Rational(BigInt(Units) * Huge)));
   };
